@@ -211,7 +211,7 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     model, encoder = load_model(args.model)
     try:
-        with open(args.input, "r", newline="", encoding="utf-8") as fh:
+        with open(args.input, "r", newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = [h.strip() for h in next(reader)]

@@ -13,9 +13,10 @@ import io
 import json
 import math
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -166,18 +167,36 @@ def _looks_numeric(cell: str) -> bool:
     return True
 
 
-def _read_text(source) -> io.TextIOBase:
+@contextmanager
+def _read_text(source) -> Iterator[io.TextIOBase]:
+    """Text stream over a path, bytes, or a text or binary stream.
+
+    A leading UTF-8 byte order mark is dropped. Only a file opened here is
+    closed here; a caller's binary stream is detached from, not closed.
+    """
     if isinstance(source, (str, Path)):
         try:
-            return open(source, "r", newline="", encoding="utf-8")
+            stream = open(source, "r", newline="", encoding="utf-8-sig")
         except OSError as exc:
             raise DataError(f"cannot read {source}: {exc}") from exc
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if isinstance(source, io.TextIOBase):
-        return source
-    # binary stream
-    return io.TextIOWrapper(source, encoding="utf-8", newline="")
+        with stream:
+            yield stream
+    elif isinstance(source, bytes):
+        yield io.StringIO(source.decode("utf-8-sig"))
+    elif isinstance(source, io.TextIOBase):
+        yield source
+    else:
+        # binary stream
+        stream = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
+        try:
+            yield stream
+        finally:
+            stream.detach()
+
+
+# a column shares one str per distinct cell text until it has seen this many
+# distinct texts; past that (numeric columns) the sharing dict is dropped
+_SHARED_TEXTS_MAX = 1024
 
 
 def load_csv(source, class_column: str) -> RawTable:
@@ -188,29 +207,37 @@ def load_csv(source, class_column: str) -> RawTable:
     is categorical. Rows with missing (empty) cells are rejected outright so
     they cannot silently skew counts downstream.
     """
-    stream = _read_text(source)
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("empty CSV: missing header row") from None
-    header = [h.strip() for h in header]
-    if len(set(header)) != len(header):
-        raise DataError("duplicate column names in header")
-    if class_column not in header:
-        raise DataError(f"unknown class column {class_column!r}")
+    with _read_text(source) as stream:
+        reader = csv.reader(stream)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError("empty CSV: missing header row") from None
+        header = [h.strip() for h in header]
+        if len(set(header)) != len(header):
+            raise DataError("duplicate column names in header")
+        if class_column not in header:
+            raise DataError(f"unknown class column {class_column!r}")
 
-    columns: list[list[str]] = [[] for _ in header]
-    for row in reader:
-        line = reader.line_num
-        if len(row) != len(header):
-            raise DataError(
-                f"line {line}: row has {len(row)} fields, expected {len(header)}"
-            )
-        for j, cell in enumerate(row):
-            if cell.strip() == "":
-                raise DataError(f"line {line}: empty cell in column {header[j]!r}")
-            columns[j].append(cell.strip())
+        columns: list[list[str]] = [[] for _ in header]
+        # repeated cells then hold one str object, not one per row
+        shared: list[dict[str, str] | None] = [{} for _ in header]
+        for row in reader:
+            line = reader.line_num
+            if len(row) != len(header):
+                raise DataError(
+                    f"line {line}: row has {len(row)} fields, expected {len(header)}"
+                )
+            for j, cell in enumerate(row):
+                text = cell.strip()
+                if text == "":
+                    raise DataError(f"line {line}: empty cell in column {header[j]!r}")
+                texts = shared[j]
+                if texts is not None:
+                    text = texts.setdefault(text, text)
+                    if len(texts) > _SHARED_TEXTS_MAX:
+                        shared[j] = None
+                columns[j].append(text)
 
     class_idx = header.index(class_column)
     predictors = []

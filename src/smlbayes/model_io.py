@@ -115,5 +115,7 @@ def load_model(path: str | Path):
         raise DataError(f"cannot read model file {path}: {exc}") from exc
     try:
         return model_from_json_dict(json.loads(text))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        # fields of the wrong type (null, a list for an object) surface as
+        # TypeError or AttributeError somewhere inside the rebuild
         raise DataError(f"malformed model file {path}: {exc}") from exc

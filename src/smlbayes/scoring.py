@@ -11,11 +11,12 @@ here works in natural-log space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .data import Dataset
 from .errors import ConfigError
@@ -122,37 +123,58 @@ def check_subset(subset: Sequence[int], n_predictors: int) -> tuple[int, ...]:
     return out
 
 
-@dataclass(eq=False)
 class CountTable:
     """Sparse (configuration x class) counts over one predictor subset.
 
-    Only configurations that occur in the data are stored; ``q`` is the exact
-    size of the full configuration space (a Python int, so it never wraps)
-    and ``log_q`` its log for use when q dwarfs float range. The empty subset
-    has the single configuration () and q = 1.
+    Only configurations that occur in the data are stored, in lexicographic
+    order: ``config_array`` is an (n_configs, len(subset)) int64 array whose
+    rows line up with the rows of ``counts``. ``configs`` (the same
+    configurations as a tuple of int tuples) and the lookup index behind
+    ``config_counts`` are built from the array on first use only, because
+    scoring reads nothing but ``counts``; prediction and JSON output pay for
+    them. The constructor takes ``configs`` in either form. ``q`` is the
+    exact size of the full configuration space (a Python int, so it never
+    wraps) and ``log_q`` its log for use when q dwarfs float range. The empty
+    subset has the single configuration () and q = 1.
     """
 
-    subset: tuple[int, ...]
-    configs: tuple[tuple[int, ...], ...]
-    counts: np.ndarray  # (len(configs), class_arity) int64
-    n_rows: int
-    class_arity: int
-    q: int
-    log_q: float
-    _index: dict = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        counts = np.ascontiguousarray(np.asarray(self.counts, dtype=np.int64))
-        counts = counts.reshape(len(self.configs), self.class_arity)
+    def __init__(
+        self,
+        subset: tuple[int, ...],
+        configs: np.ndarray | Sequence[tuple[int, ...]],
+        counts: np.ndarray,
+        n_rows: int,
+        class_arity: int,
+        q: int,
+        log_q: float,
+    ) -> None:
+        self.subset = tuple(subset)
+        config_array = np.asarray(configs, dtype=np.int64)
+        config_array = config_array.reshape(len(config_array), len(self.subset))
+        counts = np.ascontiguousarray(np.asarray(counts, dtype=np.int64))
+        counts = counts.reshape(len(config_array), class_arity)
         if counts.size and counts.min() < 0:
             raise ValueError("counts must be nonnegative")
-        if int(counts.sum()) != self.n_rows:
+        if int(counts.sum()) != n_rows:
             raise ValueError("counts must sum to the number of rows")
         if counts.size and not (counts.sum(axis=1) > 0).all():
             raise ValueError("stored configurations must have positive count")
+        config_array.flags.writeable = False
         counts.flags.writeable = False
-        self.counts = counts
-        self._index = {c: i for i, c in enumerate(self.configs)}
+        self.config_array = config_array
+        self.counts = counts  # (n_configs, class_arity) int64
+        self.n_rows = n_rows
+        self.class_arity = class_arity
+        self.q = q
+        self.log_q = log_q
+
+    @cached_property
+    def configs(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.config_array.tolist()))
+
+    @cached_property
+    def _index(self) -> dict[tuple[int, ...], int]:
+        return {c: i for i, c in enumerate(self.configs)}
 
     def config_counts(self, config: tuple[int, ...]) -> np.ndarray | None:
         """Count vector for one configuration, or None if never observed."""
@@ -162,7 +184,7 @@ class CountTable:
     def to_json_dict(self) -> dict:
         return {
             "subset": list(self.subset),
-            "configs": [list(c) for c in self.configs],
+            "configs": self.config_array.tolist(),
             "counts": self.counts.tolist(),
             "n_rows": self.n_rows,
             "class_arity": self.class_arity,
@@ -184,8 +206,20 @@ class CountTable:
         )
 
 
+# mixed-radix keys below this bound cannot overflow int64
+_KEY_LIMIT = 2**62
+
+
 def build_count_table(data: Dataset, subset: Sequence[int]) -> CountTable:
-    """Tally (configuration, class) counts for `subset` in one pass over `data`."""
+    """Tally (configuration, class) counts for `subset` in one pass over `data`.
+
+    Each row's configuration becomes one mixed-radix integer key, first subset
+    member most significant, so sorting keys sorts configurations
+    lexicographically: the canonical order that keeps scores reproducible.
+    The key is exact only because `Dataset` rejects values outside their
+    arity. Configuration spaces too large for an int64 key are sorted as rows
+    instead, which gives the same order.
+    """
     sub = check_subset(subset, data.schema.n_predictors)
     arities = [data.schema.predictor_arities[i] for i in sub]
     q = 1
@@ -194,20 +228,19 @@ def build_count_table(data: Dataset, subset: Sequence[int]) -> CountTable:
     log_q = float(sum(math.log(a) for a in arities))
     r = data.schema.class_arity
 
-    acc: dict[tuple[int, ...], list[int]] = {}
-    labels = data.labels.tolist()
-    if sub:
-        keys = [tuple(row) for row in data.rows[:, sub].tolist()]
+    if q < _KEY_LIMIT:
+        key = np.zeros(data.n_rows, dtype=np.int64)
+        for i, a in zip(sub, arities):
+            key *= a
+            key += data.rows[:, i]
+        keys, inverse = np.unique(key, return_inverse=True)
+        configs = np.zeros((len(keys), 0), dtype=np.int64)
+        if sub:
+            configs = np.stack(np.unravel_index(keys, arities), axis=1)
     else:
-        keys = [()] * data.n_rows
-    for key, y in zip(keys, labels):
-        vec = acc.get(key)
-        if vec is None:
-            vec = acc[key] = [0] * r
-        vec[y] += 1
-
-    configs = tuple(sorted(acc))  # canonical order keeps scores reproducible
-    counts = np.array([acc[c] for c in configs], dtype=np.int64).reshape(len(configs), r)
+        configs, inverse = np.unique(data.rows[:, sub], axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)  # numpy 2.0.0 shapes it (n, 1) under axis=0
+    counts = np.bincount(inverse * r + data.labels, minlength=len(configs) * r)
     return CountTable(sub, configs, counts, data.n_rows, r, q, log_q)
 
 
@@ -267,10 +300,15 @@ def log_family_score(member_log_scores: Sequence[float]) -> FamilyScore:
     """Average the member likelihoods in probability space, staying in logs.
 
     Max-shifted log-sum-exp, so members anywhere down to -1e6 and beyond
-    neither overflow nor collapse to -inf.
+    neither overflow nor collapse to -inf. Families are a handful of floats,
+    so plain `math` beats any array call; `fsum` adds the shifted terms
+    exactly rounded.
     """
     members = tuple(float(s) for s in member_log_scores)
     if not members:
         raise ValueError("family must have at least one member score")
-    value = float(logsumexp(np.asarray(members)) - math.log(len(members)))
-    return FamilyScore(value, members)
+    top = max(members)
+    if math.isinf(top):
+        return FamilyScore(top, members)
+    total = math.fsum([math.exp(s - top) for s in members])
+    return FamilyScore(top + math.log(total) - math.log(len(members)), members)

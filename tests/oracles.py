@@ -100,3 +100,14 @@ def random_dataset(
         rows = np.zeros((n_rows, 0), dtype=np.int64)
     labels = rng.integers(class_arity, size=n_rows)
     return Dataset(schema, rows, labels)
+
+
+def dict_count_table(data: Dataset, subset) -> tuple[tuple, list]:
+    """(configs, counts) of the observed configurations of `subset`, tallied
+    row by row in a dict and sorted as tuples."""
+    acc: dict[tuple, list[int]] = {}
+    for row, y in zip(data.rows.tolist(), data.labels.tolist()):
+        config = tuple(row[i] for i in subset)
+        acc.setdefault(config, [0] * data.schema.class_arity)[y] += 1
+    configs = tuple(sorted(acc))
+    return configs, [acc[c] for c in configs]

@@ -222,6 +222,38 @@ class TestTrainPredict:
         err = capsys.readouterr().err
         assert "line 2" in err and "temp" in err
 
+    def test_byte_order_mark_in_input(self, data_csv, tmp_path):
+        model_path = self._train(data_csv, tmp_path, "nb")
+        plain = self._predict(tmp_path, model_path, "temp,color\n2,red\n")
+        assert self._predict(tmp_path, model_path, "\ufefftemp,color\n2,red\n") == plain
+
+    @pytest.mark.parametrize(
+        "classifier,field",
+        [("nb", "tables"), ("om2", "tables"), ("nb", "encoder"), ("anb", "partition")],
+    )
+    def test_null_model_field_exits_2(self, data_csv, tmp_path, capsys, classifier, field):
+        model_path = self._train(data_csv, tmp_path, classifier)
+        payload = json.loads(model_path.read_text(encoding="utf-8"))
+        payload[field] = None
+        model_path.write_text(json.dumps(payload), encoding="utf-8")
+        self._assert_malformed_model(tmp_path, model_path, capsys)
+
+    def test_non_object_model_exits_2(self, tmp_path, capsys):
+        model_path = tmp_path / "list.json"
+        model_path.write_text("[]", encoding="utf-8")
+        self._assert_malformed_model(tmp_path, model_path, capsys)
+
+    def _assert_malformed_model(self, tmp_path, model_path, capsys):
+        input_path = tmp_path / "new.csv"
+        input_path.write_text("temp,color\n2,red\n", encoding="utf-8")
+        capsys.readouterr()
+        code = main(
+            ["predict", "--model", str(model_path), "--input", str(input_path), "--out", str(tmp_path / "p.csv")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed model file") and err.count("\n") == 1
+
 
 def test_help_runs_as_module():
     proc = subprocess.run(

@@ -1,6 +1,9 @@
 """Loading, discretization, encoding, and split behavior."""
 
+import gc
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +73,40 @@ class TestLoadCsv:
     def test_quoted_fields(self):
         raw = load_csv(_csv('a,cls\n"hello, world",yes\nplain,no'), "cls")
         assert raw.predictors[0].values == ["hello, world", "plain"]
+
+    def test_path_input_closes_its_file(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(_csv("a,cls\n1,yes\n2,no"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            load_csv(p, "cls")
+            with pytest.raises(DataError):
+                load_csv(p, "nope")
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_binary_stream_stays_open(self):
+        stream = io.BytesIO(_csv("a,cls\n1,yes\n2,no"))
+        assert load_csv(stream, "cls").n_rows == 2
+        gc.collect()
+        assert not stream.closed
+
+    def test_utf8_byte_order_mark_is_dropped(self, tmp_path):
+        text = b"\xef\xbb\xbf" + _csv("cls,a\nyes,1\nno,2")
+        p = tmp_path / "bom.csv"
+        p.write_bytes(text)
+        for source in (text, p, io.BytesIO(text)):
+            raw = load_csv(source, "cls")
+            assert raw.class_column.values == ["yes", "no"]
+            assert [c.name for c in raw.predictors] == ["a"]
+
+    def test_repeated_cells_share_one_string(self):
+        lines = ["a,cls"] + [f"{i},{'yes' if i % 2 else 'no'}" for i in range(3000)]
+        raw = load_csv(_csv("\n".join(lines)), "cls")
+        labels = raw.class_column.values
+        assert labels[1] is labels[3] and labels[0] is labels[2]
+        # a column past the sharing limit still loads every value
+        assert raw.predictors[0].values == [float(i) for i in range(3000)]
 
 
 class TestEqualFrequency:
