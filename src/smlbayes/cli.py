@@ -20,7 +20,7 @@ from .classifiers import (
     build_omi,
     build_pm_mixture,
 )
-from .data import DatasetEncoder, fit_discretization, load_csv
+from .data import DatasetEncoder, fit_discretization, load_csv, read_text
 from .errors import ConfigError, DataError
 from .harness import run_trials, spec_from_token
 from .model_io import load_model, model_to_json_dict
@@ -208,31 +208,52 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _read_codes(path: str, encoder: DatasetEncoder) -> tuple[list[int], int]:
+    """Encode every row of the predictor CSV at `path`: (codes, number of rows).
+
+    Rows are concatenated in `codes`, each in ``encoder.predictor_names``
+    order. Only the codes are kept; a row's cell text is dropped once encoded.
+    """
+    codes = []
+    names = encoder.predictor_names
+    with read_text(path) as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise DataError("empty input CSV") from None
+        for name in names:
+            if name not in header:
+                raise DataError(f"missing predictor column {name!r}")
+        columns = [
+            (name, kind, header.index(name)) for name, kind in zip(names, encoder.kinds)
+        ]
+        line_no = 1
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise DataError(
+                    f"line {reader.line_num}: row has {len(row)} fields, "
+                    f"expected {len(header)}"
+                )
+            for name, kind, pos in columns:
+                cell = row[pos].strip()
+                if kind == "numeric":
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise DataError(
+                            f"line {line_no}: column {name!r} expected a number, got {cell!r}"
+                        ) from None
+                codes.append(encoder.encode_value(name, kind, cell))
+    return codes, line_no - 1
+
+
 def _cmd_predict(args) -> int:
     model, encoder = load_model(args.model)
     try:
-        with open(args.input, "r", newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = [h.strip() for h in next(reader)]
-            except StopIteration:
-                raise DataError("empty input CSV") from None
-            rows = []
-            for row in reader:
-                if len(row) != len(header):
-                    raise DataError(
-                        f"line {reader.line_num}: row has {len(row)} fields, "
-                        f"expected {len(header)}"
-                    )
-                rows.append([c.strip() for c in row])
+        codes, n_rows = _read_codes(args.input, encoder)
     except OSError as exc:
         raise DataError(f"cannot read {args.input}: {exc}") from exc
-
-    positions = {}
-    for name in encoder.predictor_names:
-        if name not in header:
-            raise DataError(f"missing predictor column {name!r}")
-        positions[name] = header.index(name)
 
     if isinstance(model, MixtureClassifier):
         r = model.components[0].table.class_arity
@@ -246,27 +267,15 @@ def _cmd_predict(args) -> int:
     while len(value_names) < r:
         value_names.append(f"class{len(value_names)}")
 
-    out_rows = []
-    for line_no, row in enumerate(rows, start=2):
-        x = []
-        for name, kind in zip(encoder.predictor_names, encoder.kinds):
-            cell = row[positions[name]]
-            if kind == "numeric":
-                try:
-                    float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"line {line_no}: column {name!r} expected a number, got {cell!r}"
-                    ) from None
-            x.append(encoder.encode_value(name, kind, cell))
-        dist = model.predict(x)
-        label = value_names[int(dist.argmax())]
-        out_rows.append([repr(float(p)) for p in dist] + [label])
-
+    # opened only now, so input that fails to encode leaves no output file
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"p_{v}" for v in value_names] + ["predicted"])
-        writer.writerows(out_rows)
+        k = len(encoder.predictor_names)
+        for i in range(n_rows):
+            dist = model.predict(codes[i * k : (i + 1) * k])
+            label = value_names[int(dist.argmax())]
+            writer.writerow([repr(float(p)) for p in dist] + [label])
     return EXIT_OK
 
 

@@ -168,30 +168,36 @@ def _looks_numeric(cell: str) -> bool:
 
 
 @contextmanager
-def _read_text(source) -> Iterator[io.TextIOBase]:
+def read_text(source) -> Iterator[io.TextIOBase]:
     """Text stream over a path, bytes, or a text or binary stream.
 
-    A leading UTF-8 byte order mark is dropped. Only a file opened here is
-    closed here; a caller's binary stream is detached from, not closed.
+    A leading UTF-8 byte order mark is dropped. Bytes that are not UTF-8,
+    met here or while the caller reads, raise `DataError`. Only a file
+    opened here is closed here; a caller's binary stream is detached from,
+    not closed.
     """
-    if isinstance(source, (str, Path)):
-        try:
-            stream = open(source, "r", newline="", encoding="utf-8-sig")
-        except OSError as exc:
-            raise DataError(f"cannot read {source}: {exc}") from exc
-        with stream:
-            yield stream
-    elif isinstance(source, bytes):
-        yield io.StringIO(source.decode("utf-8-sig"))
-    elif isinstance(source, io.TextIOBase):
-        yield source
-    else:
-        # binary stream
-        stream = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
-        try:
-            yield stream
-        finally:
-            stream.detach()
+    name = source if isinstance(source, (str, Path)) else "input"
+    try:
+        if isinstance(source, (str, Path)):
+            try:
+                stream = open(source, "r", newline="", encoding="utf-8-sig")
+            except OSError as exc:
+                raise DataError(f"cannot read {source}: {exc}") from exc
+            with stream:
+                yield stream
+        elif isinstance(source, bytes):
+            yield io.StringIO(source.decode("utf-8-sig"))
+        elif isinstance(source, io.TextIOBase):
+            yield source
+        else:
+            # binary stream
+            stream = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
+            try:
+                yield stream
+            finally:
+                stream.detach()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {name}: not valid UTF-8 ({exc.reason})") from None
 
 
 # a column shares one str per distinct cell text until it has seen this many
@@ -207,7 +213,7 @@ def load_csv(source, class_column: str) -> RawTable:
     is categorical. Rows with missing (empty) cells are rejected outright so
     they cannot silently skew counts downstream.
     """
-    with _read_text(source) as stream:
+    with read_text(source) as stream:
         reader = csv.reader(stream)
         try:
             header = next(reader)

@@ -11,25 +11,29 @@ import json
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .classifiers import (
     ANBClassifier,
     DiagnosticClassifier,
     MixtureClassifier,
     NBClassifier,
+    mixture_from_tables,
 )
 from .data import DatasetEncoder, Schema
 from .errors import DataError
-from .scoring import CountTable, PriorSpec, log_sml
+from .scoring import CountTable, PriorSpec
 from .search import validate_partition
 
 FORMAT_VERSION = 1
 
 
 def model_to_json_dict(model, encoder: DatasetEncoder) -> dict:
+    """The model file dictionary; a mixture must share one prior across components,
+    because the file stores one prior and re-derives the weights from it."""
     if isinstance(model, MixtureClassifier):
         prior = model.components[0].prior
+        if any(c.prior != prior for c in model.components):
+            raise ValueError("cannot serialize a mixture whose components carry different priors")
     else:
         prior = model.prior
     base = {
@@ -90,12 +94,7 @@ def model_from_json_dict(d: dict):
             prior,
         )
     elif kind == "mixture":
-        tables = [CountTable.from_json_dict(t) for t in d["tables"]]
-        scores = np.array([log_sml(t, prior) for t in tables])
-        model = MixtureClassifier(
-            tuple(DiagnosticClassifier(t, prior) for t in tables),
-            scores - logsumexp(scores),
-        )
+        model = mixture_from_tables([CountTable.from_json_dict(t) for t in d["tables"]], prior)
     elif kind == "diagnostic":
         model = DiagnosticClassifier(CountTable.from_json_dict(d["table"]), prior)
     else:

@@ -129,13 +129,12 @@ class CountTable:
     Only configurations that occur in the data are stored, in lexicographic
     order: ``config_array`` is an (n_configs, len(subset)) int64 array whose
     rows line up with the rows of ``counts``. ``configs`` (the same
-    configurations as a tuple of int tuples) and the lookup index behind
-    ``config_counts`` are built from the array on first use only, because
-    scoring reads nothing but ``counts``; prediction and JSON output pay for
-    them. The constructor takes ``configs`` in either form. ``q`` is the
-    exact size of the full configuration space (a Python int, so it never
-    wraps) and ``log_q`` its log for use when q dwarfs float range. The empty
-    subset has the single configuration () and q = 1.
+    configurations as a tuple of int tuples) is built from the array on
+    first use only, because scoring reads nothing but ``counts``. The
+    constructor takes ``configs`` in either form. ``q`` is the exact size of
+    the full configuration space (a Python int, so it never wraps) and
+    ``log_q`` its log for use when q dwarfs float range. The empty subset has
+    the single configuration () and q = 1.
     """
 
     def __init__(
@@ -171,15 +170,6 @@ class CountTable:
     @cached_property
     def configs(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.config_array.tolist()))
-
-    @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        return {c: i for i, c in enumerate(self.configs)}
-
-    def config_counts(self, config: tuple[int, ...]) -> np.ndarray | None:
-        """Count vector for one configuration, or None if never observed."""
-        i = self._index.get(config)
-        return None if i is None else self.counts[i]
 
     def to_json_dict(self) -> dict:
         return {

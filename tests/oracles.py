@@ -2,7 +2,10 @@
 
 Nothing here calls into the library's scoring internals: the sequential
 oracle only uses the posterior-predictive definition, the dense oracle only
-the closed form over the full configuration space.
+the closed form over the full configuration space. The predict oracles
+score one row at a time from a model's raw counts and its prior, with the
+same floating-point operations in the same order as the compiled lookup
+tables, so their results must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import math
 
 import numpy as np
 
-from smlbayes import Dataset, PriorSpec, Schema
+from smlbayes import Dataset, DatasetEncoder, DiscretizationSpec, PriorSpec, Schema
 from smlbayes.scoring import UNIFORM_CELL
 
 
@@ -102,6 +105,19 @@ def random_dataset(
     return Dataset(schema, rows, labels)
 
 
+def categorical_encoder(schema: Schema) -> DatasetEncoder:
+    """An encoder whose level names are the codes of `schema` as strings."""
+    names = schema.predictor_names
+    return DatasetEncoder(
+        names,
+        ("categorical",) * len(names),
+        DiscretizationSpec({}, 3),
+        {name: tuple(str(v) for v in range(a)) for name, a in zip(names, schema.predictor_arities)},
+        schema.class_name,
+        tuple(f"c{k}" for k in range(schema.class_arity)),
+    )
+
+
 def dict_count_table(data: Dataset, subset) -> tuple[tuple, list]:
     """(configs, counts) of the observed configurations of `subset`, tallied
     row by row in a dict and sorted as tuples."""
@@ -111,3 +127,76 @@ def dict_count_table(data: Dataset, subset) -> tuple[tuple, list]:
         acc.setdefault(config, [0] * data.schema.class_arity)[y] += 1
     configs = tuple(sorted(acc))
     return configs, [acc[c] for c in configs]
+
+
+# prior cell mass that underflowed float range is floored to this
+_CELL_FLOOR = np.finfo(float).tiny
+
+
+def _stored_counts(table, config):
+    """The count row of `config` in a CountTable, or None; a linear scan."""
+    for stored, counts in zip(table.config_array.tolist(), table.counts):
+        if tuple(stored) == config:
+            return counts
+    return None
+
+
+def diag_predict_oracle(model, x) -> np.ndarray:
+    """(count + prior cell) / (config total + prior row mass); the prior
+    predictive for a configuration never seen in training."""
+    table = model.table
+    r = table.class_arity
+    a_cell = max(model.prior.cell_prior(table.q, table.log_q, r)[0], _CELL_FLOOR)
+    counts = _stored_counts(table, tuple(int(x[i]) for i in table.subset))
+    numer = np.full(r, a_cell) if counts is None else counts + a_cell
+    return numer / numer.sum()
+
+
+def mixture_predict_oracle(model, x) -> np.ndarray:
+    preds = np.stack([diag_predict_oracle(c, x) for c in model.components])
+    out = np.exp(model.log_weights) @ preds
+    return out / out.sum()
+
+
+def _cond_log_column(value_counts, class_counts, prior: PriorSpec, q: int, log_q: float):
+    cell, _, mass, log_mass = prior.attribute_smoothing(q, log_q, len(class_counts))
+    numer = np.log(value_counts + max(cell, _CELL_FLOOR))
+    if math.isfinite(mass):
+        return numer - np.log(class_counts + mass)
+    with np.errstate(divide="ignore"):
+        return numer - np.logaddexp(np.log(class_counts), log_mass)
+
+
+def _naive_bayes(class_counts, prior: PriorSpec, factors) -> np.ndarray:
+    """Softmax of the smoothed log class prior plus each (counts, q, log q)
+    factor's log column, added one at a time."""
+    r = len(class_counts)
+    a = prior.class_cell_prior(r)
+    log_scores = np.log(class_counts + a) - math.log(float(class_counts.sum()) + r * a)
+    for counts, q, log_q in factors:
+        log_scores = log_scores + _cond_log_column(counts, class_counts, prior, q, log_q)
+    p = np.exp(log_scores - log_scores.max())
+    return p / p.sum()
+
+
+def nb_predict_oracle(model, x) -> np.ndarray:
+    """A value outside its table (an unseen level) has zero counts."""
+    r = model.schema.class_arity
+    factors = []
+    for i, table in enumerate(model.tables):
+        arity = table.shape[0]
+        v = int(x[i])
+        counts = table[v] if 0 <= v < arity else np.zeros(r, dtype=np.int64)
+        factors.append((counts, arity, math.log(arity)))
+    return _naive_bayes(model.class_counts, model.prior, factors)
+
+
+def anb_predict_oracle(model, x) -> np.ndarray:
+    r = model.schema.class_arity
+    factors = []
+    for table in model.block_tables:
+        counts = _stored_counts(table, tuple(int(x[i]) for i in table.subset))
+        if counts is None:
+            counts = np.zeros(r, dtype=np.int64)
+        factors.append((counts, table.q, table.log_q))
+    return _naive_bayes(model.class_counts, model.prior, factors)

@@ -148,6 +148,16 @@ class TestSearch:
         # score strings carry full precision
         float(result["best_score"]["log_value"])
 
+    def test_invalid_utf8_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"a,label\n1,x\n\xff\xfe,y\n")
+        out = tmp_path / "s.json"
+        code = main(["search", "--data", str(data), "--class-col", "label", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "UTF-8" in err and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestTrainPredict:
     def _train(self, data_csv, tmp_path, classifier):
@@ -221,6 +231,33 @@ class TestTrainPredict:
         assert code == 2
         err = capsys.readouterr().err
         assert "line 2" in err and "temp" in err
+
+    def _predict_fails(self, data_csv, tmp_path, capsys, content: bytes) -> str:
+        model_path = self._train(data_csv, tmp_path, "nb")
+        input_path = tmp_path / "new.csv"
+        input_path.write_bytes(content)
+        out = tmp_path / "p.csv"
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model_path), "--input", str(input_path), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        return err
+
+    def test_invalid_utf8_input_exits_2(self, data_csv, tmp_path, capsys):
+        err = self._predict_fails(data_csv, tmp_path, capsys, b"temp,color\n2,red\n3,\xff\xfe\n")
+        assert "UTF-8" in err
+
+    def test_bad_last_row_leaves_no_output(self, data_csv, tmp_path, capsys):
+        err = self._predict_fails(data_csv, tmp_path, capsys, b"temp,color\n2,red\n3,blue\nwarm,red\n")
+        assert "line 4: column 'temp' expected a number, got 'warm'" in err
+        err = self._predict_fails(data_csv, tmp_path, capsys, b"temp,color\n2,red\n3,blue,x\n")
+        assert "line 3: row has 3 fields, expected 2" in err
+
+    def test_missing_column_is_reported_before_short_rows(self, data_csv, tmp_path, capsys):
+        err = self._predict_fails(data_csv, tmp_path, capsys, b"temp\n2\n3,4\n")
+        assert "missing predictor column 'color'" in err
 
     def test_byte_order_mark_in_input(self, data_csv, tmp_path):
         model_path = self._train(data_csv, tmp_path, "nb")

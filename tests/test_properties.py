@@ -1,5 +1,7 @@
-"""Property checks of the vectorized scoring kernel against simple references."""
+"""Property checks of the vectorized scoring kernel and the compiled
+predictors against simple references."""
 
+import json
 import math
 
 import mpmath as mp
@@ -7,8 +9,33 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dict_count_table
-from smlbayes import Dataset, Schema, build_count_table, log_family_score
+from oracles import (
+    anb_predict_oracle,
+    categorical_encoder,
+    diag_predict_oracle,
+    dict_count_table,
+    mixture_predict_oracle,
+    nb_predict_oracle,
+    random_dataset,
+)
+from smlbayes import (
+    ANBClassifier,
+    Dataset,
+    DiagnosticClassifier,
+    MixtureClassifier,
+    NBClassifier,
+    PriorSpec,
+    Schema,
+    anb_predict,
+    build_anb,
+    build_count_table,
+    build_nb,
+    build_omi,
+    build_pm_mixture,
+    log_family_score,
+    nb_predict,
+)
+from smlbayes.model_io import model_from_json_dict, model_to_json_dict
 
 
 @st.composite
@@ -73,3 +100,147 @@ def test_family_score_matches_mpmath(members):
     # relative 1e-12; the absolute floor covers results near 0, where
     # subtracting log(n) cancels most digits
     assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@st.composite
+def models_and_rows(draw, arities=st.lists(st.integers(1, 4), max_size=5)):
+    """Every classifier kind trained on one small dataset, and query rows.
+
+    The class arity may exceed the classes seen (as when a schema floors a
+    one-class column to 2), the partition is random, and a query value may be
+    the unseen-level sentinel (the arity) or negative.
+    """
+    arities = tuple(draw(arities))
+    n_pred = len(arities)
+    r = draw(st.integers(2, 4))
+    seen_classes = draw(st.integers(1, r))
+    n = draw(st.integers(1, 30))
+    rows = [[draw(st.integers(0, a - 1)) for a in arities] for _ in range(n)]
+    labels = draw(st.lists(st.integers(0, seen_classes - 1), min_size=n, max_size=n))
+    schema = Schema(tuple(f"x{i}" for i in range(n_pred)), arities, "y", r)
+    data = Dataset(schema, np.array(rows, dtype=np.int64).reshape(n, n_pred), labels)
+    strength = draw(st.floats(0.05, 5.0))
+    prior = draw(st.sampled_from([PriorSpec.uniform_cell, PriorSpec.equivalent_sample_size]))(strength)
+    block_of = draw(st.lists(st.integers(0, max(n_pred - 1, 0)), min_size=n_pred, max_size=n_pred))
+    partition = [[i for i in range(n_pred) if block_of[i] == b] for b in sorted(set(block_of))]
+    subset = tuple(sorted(draw(st.sets(st.sampled_from(range(n_pred))) if n_pred else st.just(set()))))
+    models = {
+        "diagnostic": DiagnosticClassifier(build_count_table(data, subset), prior),
+        "nb": build_nb(data, prior),
+        "anb": build_anb(partition, data, prior),
+    }
+    if n_pred:
+        models["pm"] = build_pm_mixture(partition, data, prior)
+        models.update({f"om{i}": build_omi(data, i, prior) for i in (1, 2) if i <= n_pred})
+    queries = draw(st.lists(
+        st.tuples(*[st.integers(-1, a) for a in arities]).map(list)
+        | st.sampled_from(rows), min_size=1, max_size=6))
+    return models, queries
+
+
+ORACLES = {
+    DiagnosticClassifier: diag_predict_oracle,
+    MixtureClassifier: mixture_predict_oracle,
+    NBClassifier: nb_predict_oracle,
+    ANBClassifier: anb_predict_oracle,
+}
+
+
+def _assert_predicts_like_oracle(model, queries):
+    oracle = ORACLES[type(model)]
+    for x in queries:
+        got, want = model.predict(x), oracle(model, x)
+        assert got.shape == want.shape and (got == want).all(), (x, got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(models_and_rows())
+def test_compiled_predict_equals_per_row_oracle(case):
+    models, queries = case
+    for model in models.values():
+        _assert_predicts_like_oracle(model, queries)
+
+
+def test_no_predictors_gives_the_class_prior():
+    data = Dataset(Schema((), (), "y", 3), np.zeros((4, 0), dtype=np.int64), np.array([0, 0, 1, 2]))
+    for prior in (PriorSpec.uniform_cell(0.5), PriorSpec.equivalent_sample_size(2.0)):
+        nb = build_nb(data, prior)
+        anb = build_anb([], data, prior)
+        diag = DiagnosticClassifier(build_count_table(data, ()), prior)
+        _assert_predicts_like_oracle(nb, [[]])
+        _assert_predicts_like_oracle(anb, [[]])
+        _assert_predicts_like_oracle(diag, [[]])
+        assert (nb_predict(nb, []) == anb_predict(anb, [])).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data_and_subset(arities=st.just([3] * 45), min_subset=40), st.data())
+def test_configuration_space_beyond_int64_keys_is_looked_up_by_tuple(case, draw):
+    # 3**40 > 2**62: the block is found through its configuration tuples
+    data, subset = case
+    prior = draw.draw(st.sampled_from([PriorSpec.uniform_cell(1.0), PriorSpec.equivalent_sample_size(1.0)]))
+    rest = [i for i in range(45) if i not in subset]
+    partition = [list(subset)] + ([rest] if rest else [])
+    models = [DiagnosticClassifier(build_count_table(data, subset), prior)]
+    if data.n_rows:
+        models += [build_anb(partition, data, prior), build_pm_mixture(partition, data, prior)]
+    queries = [list(row) for row in data.rows.tolist()[:3]]
+    queries += draw.draw(st.lists(st.lists(st.integers(-1, 3), min_size=45, max_size=45), max_size=3))
+    for model in models:
+        rows = model._compiled[1] if isinstance(model, MixtureClassifier) else model._compiled
+        assert rows._fallback
+        _assert_predicts_like_oracle(model, queries)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+def test_prior_mass_beyond_float_range(seed, n):
+    # 110 predictors of arity 1000: q = 10**330, so the BDeu cell underflows
+    # (and is floored) and the uniform per-class prior mass overflows
+    rng = np.random.default_rng(seed)
+    arities = (1000,) * 110
+    data = random_dataset(rng, n, arities, 2)
+    bdeu, uniform = PriorSpec.equivalent_sample_size(1.0), PriorSpec.uniform_cell(1.0)
+    table = build_count_table(data, tuple(range(110)))
+    assert bdeu.cell_prior(table.q, table.log_q, 2)[0] < np.finfo(float).tiny
+    assert uniform.attribute_smoothing(table.q, table.log_q, 2)[2] == math.inf
+    halves = [list(range(55)), list(range(55, 110))]
+    models = [DiagnosticClassifier(table, bdeu)]
+    for prior in (bdeu, uniform):
+        models += [build_anb([list(range(110))], data, prior), build_anb(halves, data, prior)]
+    queries = [data.rows[0].tolist(), [int(v) for v in rng.integers(0, 1000, size=110)]]
+    for model in models:
+        _assert_predicts_like_oracle(model, queries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(models_and_rows())
+def test_save_and_load_round_trips_predictions(case):
+    models, queries = case
+    encoder = categorical_encoder(models["nb"].schema)
+    for model in models.values():
+        payload = json.loads(json.dumps(model_to_json_dict(model, encoder), sort_keys=True))
+        loaded, loaded_encoder = model_from_json_dict(payload)
+        assert type(loaded) is type(model)
+        assert loaded_encoder == encoder
+        for x in queries:
+            assert (loaded.predict(x) == model.predict(x)).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(models_and_rows())
+def test_returned_distributions_are_fresh(case):
+    models, queries = case
+    for model in models.values():
+        compiled = model._compiled
+        tables = compiled if isinstance(compiled, tuple) else (compiled,)
+        for part in tables:
+            arrays = [part] if isinstance(part, np.ndarray) else [part.table, part._keys]
+            assert not any(a.flags.writeable for a in arrays)
+        x = queries[0]
+        first = model.predict(x)
+        kept = first.copy()
+        first[...] = -1.0
+        for y in queries:
+            model.predict(y)[...] = -2.0
+        assert (model.predict(x) == kept).all()
