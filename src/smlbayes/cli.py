@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -239,11 +240,15 @@ def _read_codes(path: str, encoder: DatasetEncoder) -> tuple[list[int], int]:
                 cell = row[pos].strip()
                 if kind == "numeric":
                     try:
-                        float(cell)
+                        finite = math.isfinite(float(cell))
                     except ValueError:
                         raise DataError(
                             f"line {line_no}: column {name!r} expected a number, got {cell!r}"
                         ) from None
+                    if not finite:
+                        raise DataError(
+                            f"line {line_no}: column {name!r} expected a finite number, got {cell!r}"
+                        )
                 codes.append(encoder.encode_value(name, kind, cell))
     return codes, line_no - 1
 

@@ -210,8 +210,9 @@ def load_csv(source, class_column: str) -> RawTable:
 
     The header row is mandatory. A column is numeric when every one of its
     cells parses as a number with '.' as the decimal separator; otherwise it
-    is categorical. Rows with missing (empty) cells are rejected outright so
-    they cannot silently skew counts downstream.
+    is categorical. Rows with missing (empty) cells, and numeric columns
+    holding nan or infinite cells, are rejected outright so they cannot
+    silently skew counts downstream.
     """
     with read_text(source) as stream:
         reader = csv.reader(stream)
@@ -251,7 +252,11 @@ def load_csv(source, class_column: str) -> RawTable:
         if name == class_column:
             continue
         if cells and all(_looks_numeric(c) for c in cells):
-            predictors.append(RawColumn(name, NUMERIC, [float(c) for c in cells]))
+            values = [float(c) for c in cells]
+            if not all(map(math.isfinite, values)):
+                cell = next(c for c, v in zip(cells, values) if not math.isfinite(v))
+                raise DataError(f"column {name!r}: non-finite number {cell!r}")
+            predictors.append(RawColumn(name, NUMERIC, values))
         else:
             predictors.append(RawColumn(name, CATEGORICAL, cells))
     # class values stay raw strings; they are encoded by first appearance later

@@ -28,12 +28,16 @@ FORMAT_VERSION = 1
 
 
 def model_to_json_dict(model, encoder: DatasetEncoder) -> dict:
-    """The model file dictionary; a mixture must share one prior across components,
-    because the file stores one prior and re-derives the weights from it."""
+    """The model file dictionary; a mixture must share one prior across components
+    and carry the weights its tables derive, because the file stores one prior
+    and re-derives the weights from it."""
     if isinstance(model, MixtureClassifier):
         prior = model.components[0].prior
         if any(c.prior != prior for c in model.components):
             raise ValueError("cannot serialize a mixture whose components carry different priors")
+        derived = mixture_from_tables([c.table for c in model.components], prior).log_weights
+        if not np.array_equal(derived, model.log_weights):
+            raise ValueError("cannot serialize a mixture whose weights differ from its SML weights")
     else:
         prior = model.prior
     base = {
@@ -112,6 +116,8 @@ def load_model(path: str | Path):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read model file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read model file {path}: not valid UTF-8 ({exc.reason})") from None
     try:
         return model_from_json_dict(json.loads(text))
     except (KeyError, ValueError, TypeError, AttributeError) as exc:

@@ -8,9 +8,9 @@ given seed.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -126,16 +126,19 @@ class SearchResult:
 
 
 class PartitionScorer:
-    """Scores partitions against one training set, memoizing per-block scores.
+    """Scores partitions against one training set, memoizing per-block scores
+    and per-partition family scores.
 
     Block scores depend only on block contents, so the cache stays valid for
     the scorer's lifetime and is shared freely across candidate partitions.
+    A partition scored before costs one dict lookup.
     """
 
     def __init__(self, train: Dataset, prior: PriorSpec):
         self.train = train
         self.prior = prior
         self._cache: dict[Block, float] = {}
+        self._scores: dict[Partition, FamilyScore] = {}
 
     def block_score(self, block: Block) -> float:
         score = self._cache.get(block)
@@ -145,7 +148,11 @@ class PartitionScorer:
         return score
 
     def score(self, partition: Partition) -> FamilyScore:
-        return log_family_score([self.block_score(b) for b in partition])
+        score = self._scores.get(partition)
+        if score is None:
+            members = [self.block_score(b) for b in partition]
+            score = self._scores[partition] = log_family_score(members)
+        return score
 
 
 def score_partition(partition: Sequence[Sequence[int]], train: Dataset, prior: PriorSpec) -> FamilyScore:
@@ -154,8 +161,67 @@ def score_partition(partition: Sequence[Sequence[int]], train: Dataset, prior: P
     return PartitionScorer(train, prior).score(part)
 
 
+def _relocate(blocks: list[list[int]], operand: tuple[int, int, int]) -> None:
+    bi, v, ti = operand
+    blocks[bi].remove(v)
+    blocks[ti].append(v)
+
+
+def _detach(blocks: list[list[int]], operand: tuple[int, int]) -> None:
+    bi, v = operand
+    blocks[bi].remove(v)
+    blocks.append([v])
+
+
+def _merge(blocks: list[list[int]], operand: tuple[int, int]) -> None:
+    i, j = operand
+    blocks[i].extend(blocks[j])
+    del blocks[j]
+
+
+# (apply the move to a block list, operands, candidate per operand or None)
+_MoveKind = tuple[Callable, list, list]
+
+
+@functools.lru_cache(maxsize=1024)
+def _move_table(partition: Partition, max_block_size: int | None) -> tuple[_MoveKind, ...]:
+    """The move kinds applicable to `partition`, each with its valid operands.
+
+    A pure function of its arguments, so it is memoized: a hill climb keeps
+    its partition until a proposal is accepted, and every rejection draws
+    from the same table. A candidate partition is built the first time its
+    operand is drawn and kept in the table.
+    """
+    n = sum(len(b) for b in partition)
+    if n < 2:
+        raise ValueError("no moves exist for fewer than 2 predictors")
+    cap = n if max_block_size is None else max_block_size
+    relocations = [
+        (bi, v, ti)
+        for bi, b in enumerate(partition)
+        for v in b
+        for ti, t in enumerate(partition)
+        if ti != bi and len(t) < cap
+    ]
+    detachables = [(bi, v) for bi, b in enumerate(partition) if len(b) >= 2 for v in b]
+    merges = [
+        (i, j)
+        for i in range(len(partition))
+        for j in range(i + 1, len(partition))
+        if len(partition[i]) + len(partition[j]) <= cap
+    ]
+    kinds = tuple(
+        (apply, operands, [None] * len(operands))
+        for apply, operands in ((_relocate, relocations), (_detach, detachables), (_merge, merges))
+        if operands
+    )
+    if not kinds:
+        raise ValueError("no applicable moves under the block-size cap")
+    return kinds
+
+
 def propose_move(
-    partition: Partition,
+    partition: Sequence[Sequence[int]],
     rng: np.random.Generator,
     max_block_size: int | None = None,
 ) -> Partition:
@@ -164,52 +230,18 @@ def propose_move(
     The move kind is chosen uniformly among the kinds applicable to the
     current partition, then its operands uniformly among the valid choices,
     so the result is always a valid partition different from the input.
+    Operands are enumerated in the given block order.
     """
-    n = sum(len(b) for b in partition)
-    if n < 2:
-        raise ValueError("no moves exist for fewer than 2 predictors")
-    cap = n if max_block_size is None else max_block_size
-    blocks = [list(b) for b in partition]
-
-    relocations = [
-        (bi, v, ti)
-        for bi, b in enumerate(blocks)
-        for v in b
-        for ti, t in enumerate(blocks)
-        if ti != bi and len(t) < cap
-    ]
-    detachables = [(bi, v) for bi, b in enumerate(blocks) if len(b) >= 2 for v in b]
-    merges = [
-        (i, j)
-        for i in range(len(blocks))
-        for j in range(i + 1, len(blocks))
-        if len(blocks[i]) + len(blocks[j]) <= cap
-    ]
-
-    kinds = []
-    if relocations:
-        kinds.append("relocate")
-    if detachables:
-        kinds.append("detach")
-    if merges:
-        kinds.append("merge")
-    if not kinds:
-        raise ValueError("no applicable moves under the block-size cap")
-
-    kind = kinds[int(rng.integers(len(kinds)))]
-    if kind == "relocate":
-        bi, v, ti = relocations[int(rng.integers(len(relocations)))]
-        blocks[bi].remove(v)
-        blocks[ti].append(v)
-    elif kind == "detach":
-        bi, v = detachables[int(rng.integers(len(detachables)))]
-        blocks[bi].remove(v)
-        blocks.append([v])
-    else:
-        i, j = merges[int(rng.integers(len(merges)))]
-        blocks[i].extend(blocks[j])
-        del blocks[j]
-    return canonical_partition(b for b in blocks if b)
+    part = tuple(map(tuple, partition))
+    kinds = _move_table(part, max_block_size)
+    apply, operands, candidates = kinds[int(rng.integers(len(kinds)))]
+    i = int(rng.integers(len(operands)))
+    candidate = candidates[i]
+    if candidate is None:
+        blocks = [list(b) for b in part]
+        apply(blocks, operands[i])
+        candidate = candidates[i] = canonical_partition(b for b in blocks if b)
+    return candidate
 
 
 def _initial_partition(n: int, mode: str, rng: np.random.Generator) -> Partition:

@@ -5,7 +5,9 @@ oracle only uses the posterior-predictive definition, the dense oracle only
 the closed form over the full configuration space. The predict oracles
 score one row at a time from a model's raw counts and its prior, with the
 same floating-point operations in the same order as the compiled lookup
-tables, so their results must agree bit for bit.
+tables, so their results must agree bit for bit. The move oracle enumerates
+every operand of every move kind on each call, drawing from the generator
+exactly as the memoized move tables must.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 
 from smlbayes import Dataset, DatasetEncoder, DiscretizationSpec, PriorSpec, Schema
 from smlbayes.scoring import UNIFORM_CELL
+from smlbayes.search import canonical_partition
 
 
 def cell_prior_value(prior: PriorSpec, q: int, r: int) -> float:
@@ -200,3 +203,52 @@ def anb_predict_oracle(model, x) -> np.ndarray:
             counts = np.zeros(r, dtype=np.int64)
         factors.append((counts, table.q, table.log_q))
     return _naive_bayes(model.class_counts, model.prior, factors)
+
+
+def propose_move_oracle(partition, rng: np.random.Generator, max_block_size: int | None = None):
+    """Draw one neighboring partition, enumerating every move afresh."""
+    n = sum(len(b) for b in partition)
+    if n < 2:
+        raise ValueError("no moves exist for fewer than 2 predictors")
+    cap = n if max_block_size is None else max_block_size
+    blocks = [list(b) for b in partition]
+
+    relocations = [
+        (bi, v, ti)
+        for bi, b in enumerate(blocks)
+        for v in b
+        for ti, t in enumerate(blocks)
+        if ti != bi and len(t) < cap
+    ]
+    detachables = [(bi, v) for bi, b in enumerate(blocks) if len(b) >= 2 for v in b]
+    merges = [
+        (i, j)
+        for i in range(len(blocks))
+        for j in range(i + 1, len(blocks))
+        if len(blocks[i]) + len(blocks[j]) <= cap
+    ]
+
+    kinds = []
+    if relocations:
+        kinds.append("relocate")
+    if detachables:
+        kinds.append("detach")
+    if merges:
+        kinds.append("merge")
+    if not kinds:
+        raise ValueError("no applicable moves under the block-size cap")
+
+    kind = kinds[int(rng.integers(len(kinds)))]
+    if kind == "relocate":
+        bi, v, ti = relocations[int(rng.integers(len(relocations)))]
+        blocks[bi].remove(v)
+        blocks[ti].append(v)
+    elif kind == "detach":
+        bi, v = detachables[int(rng.integers(len(detachables)))]
+        blocks[bi].remove(v)
+        blocks.append([v])
+    else:
+        i, j = merges[int(rng.integers(len(merges)))]
+        blocks[i].extend(blocks[j])
+        del blocks[j]
+    return canonical_partition(b for b in blocks if b)

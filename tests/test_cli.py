@@ -158,6 +158,16 @@ class TestSearch:
         assert err.startswith("error:") and "UTF-8" in err and err.count("\n") == 1
         assert not out.exists()
 
+    def test_non_finite_numeric_column_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "inf.csv"
+        data.write_text("a,label\n1,x\n-inf,y\n2,x\n", encoding="utf-8")
+        out = tmp_path / "s.json"
+        code = main(["search", "--data", str(data), "--class-col", "label", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: column 'a': non-finite number '-inf'\n"
+        assert not out.exists()
+
 
 class TestTrainPredict:
     def _train(self, data_csv, tmp_path, classifier):
@@ -254,6 +264,23 @@ class TestTrainPredict:
         assert "line 4: column 'temp' expected a number, got 'warm'" in err
         err = self._predict_fails(data_csv, tmp_path, capsys, b"temp,color\n2,red\n3,blue,x\n")
         assert "line 3: row has 3 fields, expected 2" in err
+
+    def test_non_finite_cell_exits_2(self, data_csv, tmp_path, capsys):
+        err = self._predict_fails(data_csv, tmp_path, capsys, b"temp,color\n2,red\nnan,blue\n")
+        assert "line 3: column 'temp' expected a finite number, got 'nan'" in err
+
+    def test_model_file_not_utf8_exits_2(self, data_csv, tmp_path, capsys):
+        model_path = self._train(data_csv, tmp_path, "nb")
+        model_path.write_bytes(b"\xff\xfe" + model_path.read_bytes())
+        input_path = tmp_path / "new.csv"
+        input_path.write_text("temp,color\n2,red\n", encoding="utf-8")
+        capsys.readouterr()
+        code = main(
+            ["predict", "--model", str(model_path), "--input", str(input_path), "--out", str(tmp_path / "p.csv")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read model file") and "UTF-8" in err and err.count("\n") == 1
 
     def test_missing_column_is_reported_before_short_rows(self, data_csv, tmp_path, capsys):
         err = self._predict_fails(data_csv, tmp_path, capsys, b"temp\n2\n3,4\n")

@@ -41,6 +41,15 @@ class TestLoadCsv:
         raw = load_csv(_csv("a,cls\n1,yes\nnot_a_number,no"), "cls")
         assert raw.predictors[0].kind == "categorical"
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "Infinity", "NaN"])
+    def test_non_finite_numeric_cell_rejected(self, cell):
+        with pytest.raises(DataError, match=f"column 'a': non-finite number '{cell}'"):
+            load_csv(_csv(f"a,b,cls\n1,x,yes\n{cell},y,no\n3,x,yes"), "cls")
+
+    def test_non_finite_text_in_categorical_column_is_a_level(self):
+        raw = load_csv(_csv("a,cls\nnan,yes\nred,no"), "cls")
+        assert raw.predictors[0].values == ["nan", "red"]
+
     def test_unknown_class_column(self):
         with pytest.raises(DataError, match="unknown class column"):
             load_csv(_csv("a,b\n1,2"), "nope")

@@ -38,3 +38,14 @@ def test_mixture_with_different_component_priors_is_not_saved():
     model = MixtureClassifier(components, np.log([0.5, 0.5]))
     with pytest.raises(ValueError, match="different priors"):
         model_to_json_dict(model, categorical_encoder(data.schema))
+
+
+def test_mixture_with_weights_other_than_its_sml_weights_is_not_saved():
+    rng = np.random.default_rng(5)
+    data = random_dataset(rng, 20, (2, 2), 2)
+    components = tuple(
+        DiagnosticClassifier(build_count_table(data, (i,)), PriorSpec.uniform_cell(1.0)) for i in (0, 1)
+    )
+    model = MixtureClassifier(components, np.log([0.75, 0.25]))
+    with pytest.raises(ValueError, match="weights differ"):
+        model_to_json_dict(model, categorical_encoder(data.schema))

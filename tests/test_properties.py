@@ -1,8 +1,9 @@
-"""Property checks of the vectorized scoring kernel and the compiled
-predictors against simple references."""
+"""Property checks of the vectorized scoring kernel, the compiled
+predictors and the memoized partition moves against simple references."""
 
 import json
 import math
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -16,6 +17,7 @@ from oracles import (
     dict_count_table,
     mixture_predict_oracle,
     nb_predict_oracle,
+    propose_move_oracle,
     random_dataset,
 )
 from smlbayes import (
@@ -34,7 +36,9 @@ from smlbayes import (
     build_pm_mixture,
     log_family_score,
     nb_predict,
+    score_partition,
 )
+from smlbayes import search
 from smlbayes.model_io import model_from_json_dict, model_to_json_dict
 
 
@@ -244,3 +248,62 @@ def test_returned_distributions_are_fresh(case):
         for y in queries:
             model.predict(y)[...] = -2.0
         assert (model.predict(x) == kept).all()
+
+
+@st.composite
+def partitions_and_caps(draw):
+    """A partition of 2-12 predictors with its blocks, and the members within
+    them, in random order, and a block-size cap (None or 1..n)."""
+    n = draw(st.integers(2, 12))
+    block_of = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    blocks = [[i for i in range(n) if block_of[i] == b] for b in set(block_of)]
+    blocks = [draw(st.permutations(b)) for b in draw(st.permutations(blocks))]
+    cap = draw(st.none() | st.integers(1, n))
+    return tuple(map(tuple, blocks)), cap
+
+
+def _step(propose, part, rng, cap):
+    try:
+        return propose(part, rng, cap)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(partitions_and_caps(), st.integers(0, 2**32 - 1), st.integers(30, 60))
+def test_memoized_moves_walk_like_the_enumerating_oracle(case, seed, steps):
+    part, cap = case
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(steps):
+        got = _step(search.propose_move, part, rng, cap)
+        want = _step(propose_move_oracle, part, oracle_rng, cap)
+        assert got == want
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        if isinstance(want, str):
+            break
+        part = got
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(1, 3), min_size=1, max_size=6),
+    st.integers(2, 3),
+    st.integers(1, 40),
+    st.data(),
+)
+def test_search_reports_equal_the_enumerating_oracle_run(seed, arities, r, n_rows, draw):
+    data = random_dataset(np.random.default_rng(seed), n_rows, tuple(arities), r)
+    prior = draw.draw(st.sampled_from([PriorSpec.uniform_cell(1.0), PriorSpec.equivalent_sample_size(2.0)]))
+    config = search.SearchConfig(
+        restarts=draw.draw(st.integers(1, 3)),
+        patience=draw.draw(st.integers(1, 30)),
+        max_block_size=draw.draw(st.none() | st.integers(1, len(arities))),
+        seed=seed,
+        init_mode=draw.draw(st.sampled_from(["singletons", "random"])),
+    )
+    result = search.pm_search(data, prior, config)
+    with mock.patch.object(search, "propose_move", propose_move_oracle):
+        want = search.pm_search(data, prior, config)
+    assert result.to_json_dict() == want.to_json_dict()
+    assert result.best_score == score_partition(result.best_partition, data, prior)

@@ -82,6 +82,13 @@ class TestProposeMove:
         with pytest.raises(ValueError):
             propose_move(((0,),), rng)
 
+    def test_blocks_given_as_lists(self):
+        rng, tuple_rng = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(20):
+            got = propose_move([[2, 0], [1], [3]], rng, max_block_size=3)
+            assert got == propose_move(((2, 0), (1,), (3,)), tuple_rng, max_block_size=3)
+            validate_partition(got, 4)
+
     def test_always_valid_and_different(self):
         rng = np.random.default_rng(9)
         for n in (2, 3, 5):
