@@ -11,7 +11,10 @@ import csv
 import json
 import math
 import sys
+from array import array
 from pathlib import Path
+
+import numpy as np
 
 from .classifiers import (
     DiagnosticClassifier,
@@ -21,7 +24,7 @@ from .classifiers import (
     build_omi,
     build_pm_mixture,
 )
-from .data import DatasetEncoder, fit_discretization, load_csv, read_text
+from .data import NUMERIC, DatasetEncoder, fit_discretization, load_csv, read_text
 from .errors import ConfigError, DataError
 from .harness import run_trials, spec_from_token
 from .model_io import load_model, model_to_json_dict
@@ -209,13 +212,13 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _read_codes(path: str, encoder: DatasetEncoder) -> tuple[list[int], int]:
-    """Encode every row of the predictor CSV at `path`: (codes, number of rows).
+def _read_codes(path: str, encoder: DatasetEncoder) -> np.ndarray:
+    """Encode every row of the predictor CSV at `path`: an (n_rows, k) array.
 
-    Rows are concatenated in `codes`, each in ``encoder.predictor_names``
-    order. Only the codes are kept; a row's cell text is dropped once encoded.
+    Columns follow ``encoder.predictor_names``. Each cell is parsed once and
+    only its code is kept (numeric cells are kept as floats until the end,
+    then binned column by column); the row's text is dropped once read.
     """
-    codes = []
     names = encoder.predictor_names
     with read_text(path) as fh:
         reader = csv.reader(fh)
@@ -226,9 +229,13 @@ def _read_codes(path: str, encoder: DatasetEncoder) -> tuple[list[int], int]:
         for name in names:
             if name not in header:
                 raise DataError(f"missing predictor column {name!r}")
-        columns = [
-            (name, kind, header.index(name)) for name, kind in zip(names, encoder.kinds)
-        ]
+        # (name, position, level codes and the unseen code or None, parsed values)
+        columns = []
+        for name, kind in zip(names, encoder.kinds):
+            if kind == NUMERIC:
+                columns.append((name, header.index(name), None, array("d")))
+            else:
+                columns.append((name, header.index(name), encoder.level_codes(name), array("q")))
         line_no = 1
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
@@ -236,27 +243,33 @@ def _read_codes(path: str, encoder: DatasetEncoder) -> tuple[list[int], int]:
                     f"line {reader.line_num}: row has {len(row)} fields, "
                     f"expected {len(header)}"
                 )
-            for name, kind, pos in columns:
+            for name, pos, levels, values in columns:
                 cell = row[pos].strip()
-                if kind == "numeric":
-                    try:
-                        finite = math.isfinite(float(cell))
-                    except ValueError:
-                        raise DataError(
-                            f"line {line_no}: column {name!r} expected a number, got {cell!r}"
-                        ) from None
-                    if not finite:
-                        raise DataError(
-                            f"line {line_no}: column {name!r} expected a finite number, got {cell!r}"
-                        )
-                codes.append(encoder.encode_value(name, kind, cell))
-    return codes, line_no - 1
+                if levels is not None:
+                    codes, unseen = levels
+                    values.append(codes.get(cell, unseen))
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"line {line_no}: column {name!r} expected a number, got {cell!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise DataError(
+                        f"line {line_no}: column {name!r} expected a finite number, got {cell!r}"
+                    )
+                values.append(value)
+    out = np.zeros((line_no - 1, len(names)), dtype=np.int64)
+    for j, (name, _, levels, values) in enumerate(columns):
+        out[:, j] = values if levels is not None else encoder.encode_column(name, NUMERIC, values)
+    return out
 
 
 def _cmd_predict(args) -> int:
     model, encoder = load_model(args.model)
     try:
-        codes, n_rows = _read_codes(args.input, encoder)
+        codes = _read_codes(args.input, encoder)
     except OSError as exc:
         raise DataError(f"cannot read {args.input}: {exc}") from exc
 
@@ -276,9 +289,8 @@ def _cmd_predict(args) -> int:
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"p_{v}" for v in value_names] + ["predicted"])
-        k = len(encoder.predictor_names)
-        for i in range(n_rows):
-            dist = model.predict(codes[i * k : (i + 1) * k])
+        for x in codes:
+            dist = model.predict(x)
             label = value_names[int(dist.argmax())]
             writer.writerow([repr(float(p)) for p in dist] + [label])
     return EXIT_OK

@@ -15,6 +15,7 @@ import math
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -89,6 +90,8 @@ class Dataset:
     """Encoded table: integer predictor values and class labels under a schema.
 
     Arrays are stored read-only; treat instances as immutable values.
+    ``rows`` is stored column-major, so each predictor's column
+    ``rows[:, i]`` is one contiguous array.
     """
 
     schema: Schema
@@ -96,7 +99,7 @@ class Dataset:
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        rows = np.ascontiguousarray(np.asarray(self.rows, dtype=np.int64))
+        rows = np.asfortranarray(np.asarray(self.rows, dtype=np.int64))
         labels = np.ascontiguousarray(np.asarray(self.labels, dtype=np.int64))
         if rows.ndim != 2 or rows.shape[1] != self.schema.n_predictors:
             raise ValueError("rows must be a 2-d array with one column per predictor")
@@ -270,12 +273,15 @@ def fit_equal_frequency(values: Sequence[float], bins: int) -> list[float]:
     split across a boundary: a boundary landing inside a run of equal values
     slides to the end of that run. Degenerate inputs simply collapse to fewer
     bins, so the result has at most ``bins - 1`` strictly increasing cuts.
+    NaN has no place in that order and raises `ValueError`.
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
     if len(values) == 0:
         raise ValueError("values must be nonempty")
     ordered = sorted(float(v) for v in values)
+    if any(map(math.isnan, ordered)):
+        raise ValueError("values must not contain NaN")
     n = len(ordered)
     cuts: list[float] = []
     for t in range(1, bins):
@@ -310,6 +316,8 @@ class DiscretizationSpec:
         clean = {}
         for name, cuts in self.cut_points.items():
             cuts = tuple(float(c) for c in cuts)
+            if any(map(math.isnan, cuts)):
+                raise ValueError(f"cut points for {name!r} must not be NaN")
             if any(b <= a for a, b in zip(cuts, cuts[1:])):
                 raise ValueError(f"cut points for {name!r} must be strictly increasing")
             if len(cuts) > self.bins - 1:
@@ -405,6 +413,36 @@ class DatasetEncoder:
         except ValueError:
             return len(levels)  # out-of-range sentinel for unseen levels
 
+    def level_codes(self, name: str) -> tuple[dict[str, int], int]:
+        """Code of each level text of a categorical column, and the unseen code.
+
+        A level listed twice keeps its first index, as `encode_value` finds
+        it; a level that is not a str can equal no cell text and is left out.
+        """
+        levels = self.categories[name]
+        codes: dict[str, int] = {}
+        for i, level in enumerate(levels):
+            if isinstance(level, str):
+                codes.setdefault(level, i)
+        return codes, len(levels)
+
+    def encode_column(self, name: str, kind: str, values: Sequence) -> np.ndarray:
+        """Codes of a whole column, each equal to `encode_value` of its cell."""
+        if kind == NUMERIC:
+            x = np.fromiter(map(float, values), dtype=np.float64, count=len(values))
+            cuts = np.asarray(self.discretization.cut_points[name], dtype=np.float64)
+            codes = np.searchsorted(cuts, x, side="left").astype(np.int64, copy=False)
+            codes[np.isnan(x)] = 0  # bisect_left puts NaN before every cut
+            return codes
+        levels, unseen = self.level_codes(name)
+        codes = np.fromiter(
+            map(levels.get, values, repeat(unseen)), dtype=np.int64, count=len(values)
+        )
+        # a value that is not a str may still name a level through its text
+        for i in np.flatnonzero(codes == unseen).tolist():
+            codes[i] = levels.get(str(values[i]), unseen)
+        return codes
+
     def encode_class_value(self, value: str) -> int:
         try:
             return self.class_values.index(str(value))
@@ -418,8 +456,7 @@ class DatasetEncoder:
         for name, kind in zip(self.predictor_names, self.kinds):
             if name not in by_name:
                 raise DataError(f"missing predictor column {name!r}")
-            col = by_name[name]
-            cols.append([self.encode_value(name, kind, v) for v in col.values])
+            cols.append(self.encode_column(name, kind, by_name[name].values))
         if not cols:
             return np.zeros((raw.n_rows, 0), dtype=np.int64)
         return np.array(cols, dtype=np.int64).T

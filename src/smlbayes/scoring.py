@@ -128,13 +128,16 @@ class CountTable:
 
     Only configurations that occur in the data are stored, in lexicographic
     order: ``config_array`` is an (n_configs, len(subset)) int64 array whose
-    rows line up with the rows of ``counts``. ``configs`` (the same
+    rows line up with the rows of ``counts``, and ``config_totals`` holds
+    each stored configuration's number of rows. ``configs`` (the same
     configurations as a tuple of int tuples) is built from the array on
-    first use only, because scoring reads nothing but ``counts``. The
-    constructor takes ``configs`` in either form. ``q`` is the exact size of
-    the full configuration space (a Python int, so it never wraps) and
-    ``log_q`` its log for use when q dwarfs float range. The empty subset has
-    the single configuration () and q = 1.
+    first use only, because scoring reads nothing but the counts. The
+    constructor takes ``configs`` in either form. A table that
+    `build_count_table` tallied by integer key keeps only the sorted keys and
+    decodes ``config_array`` from them on its first read. ``q`` is the exact
+    size of the full configuration space (a Python int, so it never wraps)
+    and ``log_q`` its log for use when q dwarfs float range. The empty subset
+    has the single configuration () and q = 1.
     """
 
     def __init__(
@@ -150,22 +153,61 @@ class CountTable:
         self.subset = tuple(subset)
         config_array = np.asarray(configs, dtype=np.int64)
         config_array = config_array.reshape(len(config_array), len(self.subset))
+        config_array.flags.writeable = False
+        self.config_array = config_array
+        self._set_counts(counts, len(config_array), n_rows, class_arity, q, log_q)
+
+    @classmethod
+    def _from_keys(
+        cls,
+        subset: tuple[int, ...],
+        arities: Sequence[int],
+        keys: np.ndarray,
+        counts: np.ndarray,
+        n_rows: int,
+        class_arity: int,
+        q: int,
+        log_q: float,
+    ) -> "CountTable":
+        """A table whose configurations are the ascending mixed-radix `keys`
+        over `arities`, first member most significant."""
+        table = cls.__new__(cls)
+        table.subset = tuple(subset)
+        table._keys = keys
+        table._arities = tuple(arities)
+        table._set_counts(counts, len(keys), n_rows, class_arity, q, log_q)
+        return table
+
+    def _set_counts(
+        self, counts, n_configs: int, n_rows: int, class_arity: int, q: int, log_q: float
+    ) -> None:
         counts = np.ascontiguousarray(np.asarray(counts, dtype=np.int64))
-        counts = counts.reshape(len(config_array), class_arity)
+        counts = counts.reshape(n_configs, class_arity)
+        # the row sums; einsum beats sum(axis=1) over a short class axis
+        totals = np.einsum("ij->i", counts)
         if counts.size and counts.min() < 0:
             raise ValueError("counts must be nonnegative")
-        if int(counts.sum()) != n_rows:
+        if int(totals.sum()) != n_rows:
             raise ValueError("counts must sum to the number of rows")
-        if counts.size and not (counts.sum(axis=1) > 0).all():
+        if not (totals > 0).all():
             raise ValueError("stored configurations must have positive count")
-        config_array.flags.writeable = False
         counts.flags.writeable = False
-        self.config_array = config_array
+        totals.flags.writeable = False
         self.counts = counts  # (n_configs, class_arity) int64
+        self.config_totals = totals  # (n_configs,) int64
         self.n_rows = n_rows
         self.class_arity = class_arity
         self.q = q
         self.log_q = log_q
+
+    @cached_property
+    def config_array(self) -> np.ndarray:
+        # reached only by tables built from keys; the constructor sets it
+        config_array = np.zeros((len(self._keys), 0), dtype=np.int64)
+        if self._arities:
+            config_array = np.stack(np.unravel_index(self._keys, self._arities), axis=1)
+        config_array.flags.writeable = False
+        return config_array
 
     @cached_property
     def configs(self) -> tuple[tuple[int, ...], ...]:
@@ -200,14 +242,26 @@ class CountTable:
 _KEY_LIMIT = 2**62
 
 
-def build_count_table(data: Dataset, subset: Sequence[int]) -> CountTable:
-    """Tally (configuration, class) counts for `subset` in one pass over `data`.
+def _run_edges(sorted_keys: np.ndarray) -> np.ndarray:
+    """Run boundaries of a sorted array, one flag per gap: True before the
+    first element, between unequal neighbours, and after the last."""
+    edges = np.ones(len(sorted_keys) + 1, dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=edges[1:-1])
+    return edges
 
-    Each row's configuration becomes one mixed-radix integer key, first subset
-    member most significant, so sorting keys sorts configurations
-    lexicographically: the canonical order that keeps scores reproducible.
-    The key is exact only because `Dataset` rejects values outside their
-    arity. Configuration spaces too large for an int64 key are sorted as rows
+
+def build_count_table(data: Dataset, subset: Sequence[int]) -> CountTable:
+    """Tally (configuration, class) counts for `subset` with one sort over `data`.
+
+    Each row becomes one mixed-radix integer key: its configuration, first
+    subset member most significant, then its label as the last digit. The
+    key is exact only because `Dataset` rejects values outside their arity.
+    Sorting the keys sorts configurations lexicographically, the canonical
+    order that keeps scores reproducible, and lines up each configuration's
+    rows by class. Runs of equal keys are the nonzero cells and their
+    counts; a change of key // r starts the next configuration. The table
+    keeps the configuration keys and decodes them to `config_array` only if
+    that is read. Spaces too large for an int64 key are sorted as rows
     instead, which gives the same order.
     """
     sub = check_subset(subset, data.schema.n_predictors)
@@ -217,21 +271,31 @@ def build_count_table(data: Dataset, subset: Sequence[int]) -> CountTable:
         q *= a
     log_q = float(sum(math.log(a) for a in arities))
     r = data.schema.class_arity
+    n = data.n_rows
 
-    if q < _KEY_LIMIT:
-        key = np.zeros(data.n_rows, dtype=np.int64)
+    if q * r < _KEY_LIMIT:
+        key = np.zeros(n, dtype=np.int64)
         for i, a in zip(sub, arities):
             key *= a
             key += data.rows[:, i]
-        keys, inverse = np.unique(key, return_inverse=True)
-        configs = np.zeros((len(keys), 0), dtype=np.int64)
-        if sub:
-            configs = np.stack(np.unravel_index(keys, arities), axis=1)
-    else:
-        configs, inverse = np.unique(data.rows[:, sub], axis=0, return_inverse=True)
+        key *= r
+        key += data.labels
+        key.sort()
+        # each run of equal keys is one nonzero cell
+        bounds = _run_edges(key).nonzero()[0]
+        cell_counts = bounds[1:] - bounds[:-1]
+        cell_configs, labels = np.divmod(key[bounds[:-1]], r)
+        first = _run_edges(cell_configs)[:-1]
+        config_keys = cell_configs[first]
+        rows = first.cumsum() - 1
+        counts = np.zeros(len(config_keys) * r, dtype=np.int64)
+        counts[rows * r + labels] = cell_counts
+        return CountTable._from_keys(sub, arities, config_keys, counts, n, r, q, log_q)
+
+    configs, inverse = np.unique(data.rows[:, sub], axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)  # numpy 2.0.0 shapes it (n, 1) under axis=0
     counts = np.bincount(inverse * r + data.labels, minlength=len(configs) * r)
-    return CountTable(sub, configs, counts, data.n_rows, r, q, log_q)
+    return CountTable(sub, configs, counts, n, r, q, log_q)
 
 
 def log_sml(table: CountTable, prior: PriorSpec) -> float:
@@ -244,17 +308,30 @@ def log_sml(table: CountTable, prior: PriorSpec) -> float:
     where a is the prior cell mass and A_j = r * a. Configurations with zero
     rows contribute exactly 0, so only stored configurations are visited; the
     empty table gives 0 (an empty product).
+
+    When every configuration total is below the number of cells, each
+    lgamma is evaluated once per possible count, into a lookup table, and
+    gathered. Each term is still the lgamma of the same float, summed over
+    arrays of the same shape, so the result equals the direct evaluation
+    bit for bit.
     """
     if table.n_rows == 0:
         return 0.0
     r = table.class_arity
     a_cell, log_a_cell = prior.cell_prior(table.q, table.log_q, r)
     counts = table.counts
-    n_j = counts.sum(axis=1)
+    n_j = table.config_totals
     if a_cell > 0.0:
         a_row = a_cell * r
-        row_part = gammaln(a_row) - gammaln(a_row + n_j)
-        cell_part = gammaln(counts + a_cell) - gammaln(a_cell)
+        top = int(n_j.max())
+        if top < counts.size:
+            steps = np.arange(top + 1)
+            row_lut, cell_lut = gammaln(a_row + steps), gammaln(a_cell + steps)
+            row_part = row_lut[0] - row_lut[n_j]
+            cell_part = cell_lut[counts] - cell_lut[0]
+        else:
+            row_part = gammaln(a_row) - gammaln(a_row + n_j)
+            cell_part = gammaln(counts + a_cell) - gammaln(a_cell)
         return float(row_part.sum() + cell_part.sum())
     # prior mass underflowed float range: gamma(a)/gamma(a + N) -> -log a - lgamma(N)
     log_a_row = log_a_cell + math.log(r)

@@ -5,9 +5,10 @@ oracle only uses the posterior-predictive definition, the dense oracle only
 the closed form over the full configuration space. The predict oracles
 score one row at a time from a model's raw counts and its prior, with the
 same floating-point operations in the same order as the compiled lookup
-tables, so their results must agree bit for bit. The move oracle enumerates
-every operand of every move kind on each call, drawing from the generator
-exactly as the memoized move tables must.
+tables, so their results must agree bit for bit; so must the direct SML
+closed form and the score kernel's gathered lookup tables. The move
+oracle enumerates every operand of every move kind on each call, drawing
+from the generator exactly as the memoized move tables must.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.special import gammaln
 
 from smlbayes import Dataset, DatasetEncoder, DiscretizationSpec, PriorSpec, Schema
 from smlbayes.scoring import UNIFORM_CELL
@@ -130,6 +132,17 @@ def dict_count_table(data: Dataset, subset) -> tuple[tuple, list]:
         acc.setdefault(config, [0] * data.schema.class_arity)[y] += 1
     configs = tuple(sorted(acc))
     return configs, [acc[c] for c in configs]
+
+
+def log_sml_direct(table, prior: PriorSpec) -> float:
+    """The closed form of the SML score with one lgamma call per term, for a
+    nonempty table whose prior cell mass is a positive float."""
+    r = table.class_arity
+    a_cell = prior.cell_prior(table.q, table.log_q, r)[0]
+    a_row = a_cell * r
+    row_part = gammaln(a_row) - gammaln(a_row + table.counts.sum(axis=1))
+    cell_part = gammaln(table.counts + a_cell) - gammaln(a_cell)
+    return float(row_part.sum() + cell_part.sum())
 
 
 # prior cell mass that underflowed float range is floored to this

@@ -170,6 +170,14 @@ class TestEqualFrequency:
         with pytest.raises(ValueError):
             fit_equal_frequency([], 3)
 
+    @pytest.mark.parametrize(
+        "values", [[3, float("nan"), 1, 2, 5, 4], [3, 1, 2, 5, 4, float("nan")]]
+    )
+    def test_nan_rejected_wherever_it_sits(self, values):
+        # sorting cannot place NaN, so the cuts would depend on where it sits
+        with pytest.raises(ValueError, match="NaN"):
+            fit_equal_frequency(values, 3)
+
 
 class TestDiscretizationSpec:
     def test_json_round_trip(self):
@@ -186,6 +194,11 @@ class TestDiscretizationSpec:
     def test_rejects_too_many_cuts(self):
         with pytest.raises(ValueError):
             DiscretizationSpec({"a": (1.0, 2.0, 3.0)}, bins=3)
+
+    @pytest.mark.parametrize("cuts", [(float("nan"),), (1.0, float("nan"))])
+    def test_rejects_nan_cuts(self, cuts):
+        with pytest.raises(ValueError, match="NaN"):
+            DiscretizationSpec({"a": cuts}, bins=3)
 
 
 class TestEncode:
@@ -244,6 +257,13 @@ class TestDatasetInvariants:
         data = Dataset(schema, np.array([[1]]), np.array([0]))
         with pytest.raises(ValueError):
             data.rows[0, 0] = 0
+
+    def test_rows_are_column_major(self):
+        schema = Schema(("x0", "x1"), (2, 3), "y", 2)
+        data = Dataset(schema, np.array([[1, 2], [0, 1], [1, 0]]), np.array([0, 1, 0]))
+        assert data.rows.flags.f_contiguous
+        assert data.rows[:, 1].flags.c_contiguous
+        assert data.take(np.array([2, 0])).rows.flags.f_contiguous
 
 
 class TestSplit:

@@ -1,6 +1,8 @@
-"""Property checks of the vectorized scoring kernel, the compiled
-predictors and the memoized partition moves against simple references."""
+"""Property checks of the vectorized scoring kernel, the column-wise
+encoder, the compiled predictors and the memoized partition moves against
+simple references."""
 
+import hashlib
 import json
 import math
 from unittest import mock
@@ -15,6 +17,7 @@ from oracles import (
     categorical_encoder,
     diag_predict_oracle,
     dict_count_table,
+    log_sml_direct,
     mixture_predict_oracle,
     nb_predict_oracle,
     propose_move_oracle,
@@ -22,7 +25,10 @@ from oracles import (
 )
 from smlbayes import (
     ANBClassifier,
+    CountTable,
     Dataset,
+    DatasetEncoder,
+    DiscretizationSpec,
     DiagnosticClassifier,
     MixtureClassifier,
     NBClassifier,
@@ -35,10 +41,12 @@ from smlbayes import (
     build_omi,
     build_pm_mixture,
     log_family_score,
+    log_sml,
     nb_predict,
     score_partition,
 )
 from smlbayes import search
+from smlbayes.data import RawColumn, RawTable
 from smlbayes.model_io import model_from_json_dict, model_to_json_dict
 
 
@@ -82,6 +90,117 @@ def test_count_table_beyond_int64_keys_matches_dict_oracle(case):
     # 3**40 > 2**62: configurations are sorted as rows, not as integer keys
     table = _assert_matches_dict_oracle(*case)
     assert table.q > 2**62
+
+
+@settings(max_examples=100, deadline=None)
+@given(data_and_subset(arities=st.just([2] * 60 + [3]), min_subset=59))
+def test_count_table_at_the_key_limit_matches_dict_oracle(case):
+    # q from 2**59 to 3 * 2**60 configurations times 2-4 classes: the
+    # (configuration, class) key stays below 2**62 on one side of the limit,
+    # and on the other, where it could pass 2**63, the rows are sorted instead
+    table = _assert_matches_dict_oracle(*case)
+    assert table.q < 2**62
+
+
+@settings(max_examples=200, deadline=None)
+@given(data_and_subset())
+def test_config_array_is_decoded_on_first_read(case):
+    data, subset = case
+    table = build_count_table(data, subset)
+    assert "config_array" not in vars(table)
+    configs, _ = dict_count_table(data, subset)
+    array = table.config_array
+    assert not array.flags.writeable
+    assert array.dtype == np.int64 and array.shape == (len(configs), len(subset))
+    assert array.tolist() == [list(c) for c in configs]
+    assert table.config_array is array
+
+
+@st.composite
+def count_tables(draw, few_totals: bool):
+    """A table drawn as its count matrix. With `few_totals` every
+    configuration total is below the number of cells (the kernel gathers
+    from lgamma lookup tables); otherwise one total reaches it."""
+    r = draw(st.integers(2, 4))
+    if few_totals:
+        n_configs, top = draw(st.integers(4, 30)), 3
+    else:
+        n_configs, top = draw(st.integers(1, 3)), 500
+    counts = np.array(
+        draw(st.lists(st.lists(st.integers(0, top), min_size=r, max_size=r),
+                      min_size=n_configs, max_size=n_configs)),
+        dtype=np.int64,
+    )
+    counts[:, 0] += counts.sum(axis=1) == 0
+    if not few_totals:
+        counts[0, 0] += counts.size
+    q = n_configs + draw(st.integers(0, 10**6))
+    return CountTable((0,), [(i,) for i in range(n_configs)], counts, int(counts.sum()), r, q, math.log(q))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans().flatmap(lambda few: st.tuples(st.just(few), count_tables(few))),
+       st.sampled_from([PriorSpec.uniform_cell, PriorSpec.equivalent_sample_size]),
+       st.floats(0.01, 50.0))
+def test_log_sml_lookup_tables_equal_the_direct_form(case, prior_kind, strength):
+    few_totals, table = case
+    assert (int(table.counts.sum(axis=1).max()) < table.counts.size) == few_totals
+    prior = prior_kind(strength)
+    assert log_sml(table, prior) == log_sml_direct(table, prior)
+
+
+@st.composite
+def encoders_and_columns(draw):
+    """A JSON-loaded encoder with one numeric and one categorical column,
+    and cells for both: NaN, infinities and cut points themselves; listed,
+    duplicated and unseen levels, and non-str cells whose text is a level."""
+    cuts = sorted(set(draw(st.lists(st.floats(allow_nan=False), max_size=4))))
+    levels = draw(st.lists(st.sampled_from(["a", "b", "1", "nan", " "]), max_size=6))
+    encoder = DatasetEncoder(
+        ("n", "g"), ("numeric", "categorical"),
+        DiscretizationSpec({"n": cuts}, len(cuts) + 1), {"g": tuple(levels)}, "y", ("p", "q"),
+    )
+    encoder = DatasetEncoder.from_json_dict(json.loads(json.dumps(encoder.to_json_dict())))
+    cells = draw(st.lists(st.tuples(
+        st.floats() | st.sampled_from(cuts or [0.0]),
+        st.sampled_from(levels + ["z", "A"]) | st.integers(0, 2) | st.just(math.nan),
+    ), max_size=30))
+    numbers, texts = [list(c) for c in zip(*cells)] or ([], [])
+    return encoder, numbers, texts
+
+
+@settings(max_examples=300, deadline=None)
+@given(encoders_and_columns())
+def test_column_encoding_equals_per_cell_encoding(case):
+    encoder, numbers, texts = case
+    raw = RawTable(
+        [RawColumn("g", "categorical", texts), RawColumn("n", "numeric", numbers)],
+        RawColumn("y", "categorical", ["p"] * len(numbers)),
+    )
+    want = [
+        [encoder.encode_value("n", "numeric", v) for v in numbers],
+        [encoder.encode_value("g", "categorical", v) for v in texts],
+    ]
+    got = encoder.encode_predictor_rows(raw)
+    assert got.dtype == np.int64 and got.shape == (len(numbers), 2)
+    assert got.T.tolist() == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(data_and_subset())
+def test_digest_does_not_depend_on_row_layout(case):
+    data, _ = case
+    rows = data.rows.tolist()
+    shape = data.rows.shape
+    c_order = Dataset(data.schema, np.ascontiguousarray(data.rows), data.labels)
+    f_order = Dataset(data.schema, np.asfortranarray(data.rows), data.labels)
+    assert c_order.rows.flags.f_contiguous and f_order.rows.flags.f_contiguous
+    assert c_order.digest() == f_order.digest()
+    want = hashlib.sha256()
+    want.update(json.dumps(data.schema.to_json_dict(), sort_keys=True).encode())
+    want.update(np.array(rows, dtype=np.int64).reshape(shape).tobytes())
+    want.update(data.labels.tobytes())
+    assert c_order.digest() == want.hexdigest()
 
 
 @st.composite
