@@ -13,14 +13,10 @@ from .classifiers import (
     DiagnosticClassifier,
     MixtureClassifier,
     NBClassifier,
-    anb_predict,
     build_anb,
     build_nb,
     build_omi,
     build_pm_mixture,
-    diag_predict,
-    mixture_predict,
-    nb_predict,
 )
 from .data import (
     Dataset,
@@ -52,7 +48,6 @@ from .scoring import (
     PriorSpec,
     build_count_table,
     log_family_score,
-    log_gamma,
     log_sml,
 )
 from .search import (
@@ -92,14 +87,12 @@ __all__ = [
     "SearchResult",
     "SmlbayesError",
     "SplitPlan",
-    "anb_predict",
     "build_anb",
     "build_count_table",
     "build_nb",
     "build_omi",
     "build_pm_mixture",
     "derive_seed",
-    "diag_predict",
     "encode",
     "fit_discretization",
     "fit_equal_frequency",
@@ -107,11 +100,8 @@ __all__ = [
     "load_csv",
     "load_model",
     "log_family_score",
-    "log_gamma",
     "log_loss",
     "log_sml",
-    "mixture_predict",
-    "nb_predict",
     "pm_search",
     "propose_move",
     "run_trials",

@@ -6,9 +6,11 @@ Four kinds share a common ``predict(x) -> ClassDistribution`` surface:
   predictive of its count table.
 - ``MixtureClassifier``: likelihood-weighted average of diagnostic models,
   either all subsets of a fixed size or the blocks of a partition.
-- ``NBClassifier``: naive Bayes with per-predictor conditional tables.
 - ``ANBClassifier``: naive Bayes whose attributes are partition blocks, each
   treated as one joint variable.
+- ``NBClassifier``: plain naive Bayes, which is ``ANBClassifier`` over the
+  singleton partition; it adds only the dense per-predictor view of its
+  tables that nb model files store.
 
 Distributions are plain numpy vectors, strictly positive and summing to 1.
 
@@ -39,7 +41,7 @@ from .scoring import (
     build_count_table,
     log_sml,
 )
-from .search import Partition, validate_partition
+from .search import Partition, singleton_partition, validate_partition
 
 ClassDistribution = np.ndarray
 
@@ -153,20 +155,16 @@ class DiagnosticClassifier:
     prior: PriorSpec
 
     def predict(self, x: Sequence[int]) -> ClassDistribution:
-        return diag_predict(self, x)
+        """(count + prior cell) / (config total + prior row mass) at x's configuration.
+
+        A configuration never seen in training falls back to the prior
+        predictive, which is uniform for these symmetric priors.
+        """
+        return self._compiled.gather(x)[0]
 
     @cached_property
     def _compiled(self) -> _StackedRows:
         return _StackedRows([_diag_block(self.table, self.prior)])
-
-
-def diag_predict(model: DiagnosticClassifier, x: Sequence[int]) -> ClassDistribution:
-    """(count + prior cell) / (config total + prior row mass) at x's configuration.
-
-    A configuration never seen in training falls back to the prior
-    predictive, which is uniform for these symmetric priors.
-    """
-    return model._compiled.gather(x)[0]
 
 
 @dataclass(eq=False)
@@ -187,20 +185,16 @@ class MixtureClassifier:
         self.log_weights = lw
 
     def predict(self, x: Sequence[int]) -> ClassDistribution:
-        return mixture_predict(self, x)
+        """Average the component predictions in probability space."""
+        weights, rows = self._compiled
+        out = weights @ rows.gather(x)
+        return out / out.sum()
 
     @cached_property
     def _compiled(self) -> tuple[np.ndarray, _StackedRows]:
         weights = np.exp(self.log_weights)
         weights.flags.writeable = False
         return weights, _StackedRows([_diag_block(c.table, c.prior) for c in self.components])
-
-
-def mixture_predict(model: MixtureClassifier, x: Sequence[int]) -> ClassDistribution:
-    """Average the component predictions in probability space."""
-    weights, rows = model._compiled
-    out = weights @ rows.gather(x)
-    return out / out.sum()
 
 
 def mixture_from_tables(tables: list[CountTable], prior: PriorSpec) -> MixtureClassifier:
@@ -281,81 +275,6 @@ def _softmax(log_scores: np.ndarray) -> ClassDistribution:
     return p / p.sum()
 
 
-def _naive_bayes_rows(
-    class_counts: np.ndarray,
-    prior: PriorSpec,
-    attributes: Sequence[tuple[tuple[int, ...], np.ndarray, int, float, np.ndarray]],
-) -> _StackedRows:
-    """Stacked log factors of a naive Bayes model over joint attributes.
-
-    An attribute is (subset, stored configurations, q, log q, their count
-    rows); a configuration it never stored contributes its zero-count
-    factor. The class log prior rides along as the one row of an empty
-    block, so a gather returns it first and then one factor per attribute.
-    """
-    r = len(class_counts)
-    log_prior = _class_log_prior(class_counts, prior)
-    blocks = [((), np.zeros((1, 0), dtype=np.int64), 1, log_prior[None], log_prior)]
-    for subset, configs, q, log_q, counts in attributes:
-        cell, _, mass, log_mass = prior.attribute_smoothing(q, log_q, r)
-        rows, unseen = (
-            _cond_log_column(c, class_counts, cell, mass, log_mass)
-            for c in (counts, np.zeros(r, dtype=np.int64))
-        )
-        blocks.append((subset, configs, q, rows, unseen))
-    return _StackedRows(blocks)
-
-
-def _naive_bayes_predict(rows: _StackedRows, x: Sequence[int]) -> ClassDistribution:
-    # accumulate adds the factors one at a time, prior first
-    return _softmax(np.add.accumulate(rows.gather(x), axis=0)[-1])
-
-
-@dataclass(eq=False)
-class NBClassifier:
-    """Naive Bayes: class marginal counts plus one (value x class) table per predictor."""
-
-    schema: Schema
-    class_counts: np.ndarray
-    tables: tuple[np.ndarray, ...]
-    prior: PriorSpec
-
-    def predict(self, x: Sequence[int]) -> ClassDistribution:
-        return nb_predict(self, x)
-
-    @cached_property
-    def _compiled(self) -> _StackedRows:
-        attributes = []
-        for i, table in enumerate(self.tables):
-            arity = table.shape[0]
-            values = np.arange(arity, dtype=np.int64)[:, None]
-            attributes.append(((i,), values, arity, math.log(arity), table))
-        return _naive_bayes_rows(self.class_counts, self.prior, attributes)
-
-
-def build_nb(train: Dataset, prior: PriorSpec) -> NBClassifier:
-    """Tally marginal and conditional counts; smoothing happens at predict time."""
-    if train.n_rows == 0:
-        raise DataError("cannot train on an empty dataset")
-    r = train.schema.class_arity
-    class_counts = np.bincount(train.labels, minlength=r).astype(np.int64)
-    tables = []
-    for i, arity in enumerate(train.schema.predictor_arities):
-        table = np.zeros((arity, r), dtype=np.int64)
-        np.add.at(table, (train.rows[:, i], train.labels), 1)
-        tables.append(table)
-    return NBClassifier(train.schema, class_counts, tuple(tables), prior)
-
-
-def nb_predict(model: NBClassifier, x: Sequence[int]) -> ClassDistribution:
-    """Bayes rule in log space with posterior-predictive factor estimates.
-
-    A value index outside a table (an unseen categorical level) contributes
-    its zero-count smoothed factor.
-    """
-    return _naive_bayes_predict(model._compiled, x)
-
-
 @dataclass(eq=False)
 class ANBClassifier:
     """Naive Bayes whose attributes are partition blocks (joint meta-variables)."""
@@ -366,33 +285,77 @@ class ANBClassifier:
     block_tables: tuple[CountTable, ...]
     prior: PriorSpec
 
+    def __post_init__(self) -> None:
+        r = self.schema.class_arity
+        counts = np.asarray(self.class_counts)
+        if counts.shape != (r,) or (counts < 0).any():
+            raise ValueError(f"class counts must be {r} nonnegative counts")
+        if len(self.block_tables) != len(self.partition):
+            raise ValueError("one block table per partition block required")
+        for block, table in zip(self.partition, self.block_tables):
+            if table.subset != tuple(block) or table.class_arity != r:
+                raise ValueError(f"block {list(block)} needs a table over it with {r} classes")
+
     def predict(self, x: Sequence[int]) -> ClassDistribution:
-        return anb_predict(self, x)
+        """Bayes rule in log space, one factor per block's joint configuration.
+
+        A block configuration absent from training (an unseen level included)
+        contributes that block's zero-count smoothed factor.
+        """
+        # accumulate adds the factors one at a time, prior first
+        return _softmax(np.add.accumulate(self._compiled.gather(x), axis=0)[-1])
 
     @cached_property
     def _compiled(self) -> _StackedRows:
-        attributes = [
-            (t.subset, t.config_array, t.q, t.log_q, t.counts) for t in self.block_tables
-        ]
-        return _naive_bayes_rows(self.class_counts, self.prior, attributes)
+        # the class log prior rides along as the one row of an empty block,
+        # so a gather returns it first and then one factor per block
+        r = len(self.class_counts)
+        log_prior = _class_log_prior(self.class_counts, self.prior)
+        blocks = [((), np.zeros((1, 0), dtype=np.int64), 1, log_prior[None], log_prior)]
+        for t in self.block_tables:
+            cell, _, mass, log_mass = self.prior.attribute_smoothing(t.q, t.log_q, r)
+            rows, unseen = (
+                _cond_log_column(c, self.class_counts, cell, mass, log_mass)
+                for c in (t.counts, np.zeros(r, dtype=np.int64))
+            )
+            blocks.append((t.subset, t.config_array, t.q, rows, unseen))
+        return _StackedRows(blocks)
 
 
-def build_anb(
-    partition: Sequence[Sequence[int]], train: Dataset, prior: PriorSpec
-) -> ANBClassifier:
+class NBClassifier(ANBClassifier):
+    """Naive Bayes: the block-augmented model over the singleton partition."""
+
+    # a binding of its own, so a profiler can tell nb rows from anb rows
+    predict = ANBClassifier.predict
+
+    @property
+    def tables(self) -> tuple[np.ndarray, ...]:
+        """Dense (value x class) counts per predictor, as nb model files store them."""
+        dense = []
+        for t in self.block_tables:
+            table = np.zeros((t.q, t.class_arity), dtype=np.int64)
+            table[t.config_array[:, 0]] = t.counts
+            dense.append(table)
+        return tuple(dense)
+
+
+def _tally_blocks(cls, partition: Sequence[Sequence[int]], train: Dataset, prior: PriorSpec):
+    """A `cls` model holding the class counts and one count table per block."""
     if train.n_rows == 0:
         raise DataError("cannot train on an empty dataset")
     part = validate_partition(partition, train.schema.n_predictors)
     r = train.schema.class_arity
     class_counts = np.bincount(train.labels, minlength=r).astype(np.int64)
     block_tables = tuple(build_count_table(train, block) for block in part)
-    return ANBClassifier(train.schema, part, class_counts, block_tables, prior)
+    return cls(train.schema, part, class_counts, block_tables, prior)
 
 
-def anb_predict(model: ANBClassifier, x: Sequence[int]) -> ClassDistribution:
-    """Like naive Bayes, with each block's joint configuration as one attribute.
+def build_nb(train: Dataset, prior: PriorSpec) -> NBClassifier:
+    """Tally marginal and per-predictor counts; smoothing happens at predict time."""
+    return _tally_blocks(NBClassifier, singleton_partition(train.schema.n_predictors), train, prior)
 
-    A block configuration absent from training contributes that block's
-    prior-predictive factor through its zero count vector.
-    """
-    return _naive_bayes_predict(model._compiled, x)
+
+def build_anb(
+    partition: Sequence[Sequence[int]], train: Dataset, prior: PriorSpec
+) -> ANBClassifier:
+    return _tally_blocks(ANBClassifier, partition, train, prior)

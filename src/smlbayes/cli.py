@@ -16,17 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifiers import (
-    DiagnosticClassifier,
-    MixtureClassifier,
-    build_anb,
-    build_nb,
-    build_omi,
-    build_pm_mixture,
-)
-from .data import NUMERIC, DatasetEncoder, fit_discretization, load_csv, read_text
+from .classifiers import DiagnosticClassifier, MixtureClassifier
+from .data import NUMERIC, DatasetEncoder, _numbered_rows, fit_discretization, load_csv, read_text
 from .errors import ConfigError, DataError
-from .harness import run_trials, spec_from_token
+from .harness import run_trials, spec_from_token, train_model
 from .model_io import load_model, model_to_json_dict
 from .scoring import PriorSpec
 from .search import SearchConfig, pm_search
@@ -49,8 +42,9 @@ def parse_prior(text: str) -> PriorSpec:
         strength = float(value) if value else 1.0
     except ValueError:
         raise ConfigError(f"bad prior strength in {text!r}") from None
-    if strength <= 0:
-        raise ConfigError("prior strength must be > 0")
+    # nan, inf and subnormal strengths would turn scores and losses into nan
+    if not (math.isfinite(strength) and strength >= sys.float_info.min):
+        raise ConfigError("prior strength must be a finite, normal number > 0")
     if kind == "uniform":
         return PriorSpec.uniform_cell(strength)
     if kind == "bdeu":
@@ -194,21 +188,9 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    prior = parse_prior(args.prior)
-    search = _search_config(args)
-    spec = spec_from_token(args.classifier, prior, search)
+    spec = spec_from_token(args.classifier, parse_prior(args.prior), _search_config(args))
     _, encoder, data = _load_encoded(args)
-    if spec.kind == "nb":
-        model = build_nb(data, prior)
-    elif spec.kind == "omi":
-        model = build_omi(data, spec.subset_size, prior)
-    else:
-        partition = pm_search(data, prior, search).best_partition
-        if spec.kind == "pm":
-            model = build_pm_mixture(partition, data, prior)
-        else:
-            model = build_anb(partition, data, prior)
-    _write_json(args.out, model_to_json_dict(model, encoder))
+    _write_json(args.out, model_to_json_dict(train_model(spec, data), encoder))
     return EXIT_OK
 
 
@@ -236,13 +218,8 @@ def _read_codes(path: str, encoder: DatasetEncoder) -> np.ndarray:
                 columns.append((name, header.index(name), None, array("d")))
             else:
                 columns.append((name, header.index(name), encoder.level_codes(name), array("q")))
-        line_no = 1
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(
-                    f"line {reader.line_num}: row has {len(row)} fields, "
-                    f"expected {len(header)}"
-                )
+        n_rows = 0
+        for n_rows, (line, row) in enumerate(_numbered_rows(reader, len(header)), start=1):
             for name, pos, levels, values in columns:
                 cell = row[pos].strip()
                 if levels is not None:
@@ -253,14 +230,14 @@ def _read_codes(path: str, encoder: DatasetEncoder) -> np.ndarray:
                     value = float(cell)
                 except ValueError:
                     raise DataError(
-                        f"line {line_no}: column {name!r} expected a number, got {cell!r}"
+                        f"line {line}: column {name!r} expected a number, got {cell!r}"
                     ) from None
                 if not math.isfinite(value):
                     raise DataError(
-                        f"line {line_no}: column {name!r} expected a finite number, got {cell!r}"
+                        f"line {line}: column {name!r} expected a finite number, got {cell!r}"
                     )
                 values.append(value)
-    out = np.zeros((line_no - 1, len(names)), dtype=np.int64)
+    out = np.zeros((n_rows, len(names)), dtype=np.int64)
     for j, (name, _, levels, values) in enumerate(columns):
         out[:, j] = values if levels is not None else encoder.encode_column(name, NUMERIC, values)
     return out

@@ -14,7 +14,7 @@ import json
 import math
 from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -203,6 +203,15 @@ def read_text(source) -> Iterator[io.TextIOBase]:
         raise DataError(f"cannot read {name}: not valid UTF-8 ({exc.reason})") from None
 
 
+def _numbered_rows(reader, n_fields: int) -> Iterator[tuple[int, list[str]]]:
+    """Each remaining row of a `csv.reader` with the physical line it ends on;
+    a row without `n_fields` fields raises `DataError`."""
+    for row in reader:
+        if len(row) != n_fields:
+            raise DataError(f"line {reader.line_num}: row has {len(row)} fields, expected {n_fields}")
+        yield reader.line_num, row
+
+
 # a column shares one str per distinct cell text until it has seen this many
 # distinct texts; past that (numeric columns) the sharing dict is dropped
 _SHARED_TEXTS_MAX = 1024
@@ -232,12 +241,7 @@ def load_csv(source, class_column: str) -> RawTable:
         columns: list[list[str]] = [[] for _ in header]
         # repeated cells then hold one str object, not one per row
         shared: list[dict[str, str] | None] = [{} for _ in header]
-        for row in reader:
-            line = reader.line_num
-            if len(row) != len(header):
-                raise DataError(
-                    f"line {line}: row has {len(row)} fields, expected {len(header)}"
-                )
+        for line, row in _numbered_rows(reader, len(header)):
             for j, cell in enumerate(row):
                 text = cell.strip()
                 if text == "":

@@ -31,7 +31,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError
 from .scoring import PriorSpec
-from .search import SearchConfig, pm_search
+from .search import SearchConfig, SearchResult, pm_search
 
 FORMAT_VERSION = 1
 
@@ -93,6 +93,22 @@ def spec_from_token(
     raise ConfigError(f"unknown classifier token {token!r}")
 
 
+def train_model(spec: ClassifierSpec, train: Dataset, search_result: SearchResult | None = None):
+    """Train the model `spec` names on `train`.
+
+    pm and anb use the best partition of `search_result`, or of a fresh
+    `pm_search` with the spec's own search config when none is given.
+    """
+    if spec.kind == NB:
+        return build_nb(train, spec.prior)
+    if spec.kind == OMI:
+        return build_omi(train, spec.subset_size, spec.prior)
+    if search_result is None:
+        search_result = pm_search(train, spec.prior, spec.search)
+    build = build_pm_mixture if spec.kind == PM else build_anb
+    return build(search_result.best_partition, train, spec.prior)
+
+
 def zero_one_loss(predictions: Sequence[np.ndarray], truth: Sequence[int]) -> float:
     """Fraction misclassified; argmax ties resolve to the smallest class index."""
     if len(predictions) != len(truth) or len(truth) == 0:
@@ -150,33 +166,6 @@ class EvalReport:
             "means": self.means,
             "gains_vs_nb": self.gains_vs_nb,
         }
-
-
-def _train_one(
-    spec: ClassifierSpec,
-    train: Dataset,
-    trial_index: int,
-    search_cache: dict,
-):
-    """Train one spec on a trial's training half; returns (model, partition or None)."""
-    if spec.kind == NB:
-        return build_nb(train, spec.prior), None
-    if spec.kind == OMI:
-        return build_omi(train, spec.subset_size, spec.prior), None
-    # per-trial salt keeps search streams independent across trials while
-    # remaining a pure function of the configured seed
-    key = (spec.search, spec.prior)
-    result = search_cache.get(key)
-    if result is None:
-        trial_cfg = replace(
-            spec.search,
-            seed=derive_seed(spec.search.seed, _TRIAL_SEARCH_STREAM, trial_index),
-        )
-        result = search_cache[key] = pm_search(train, spec.prior, trial_cfg)
-    partition = result.best_partition
-    if spec.kind == PM:
-        return build_pm_mixture(partition, train, spec.prior), partition
-    return build_anb(partition, train, spec.prior), partition
 
 
 def _evaluate(model, rows: np.ndarray, labels: np.ndarray) -> tuple[float, float, list]:
@@ -242,11 +231,21 @@ def run_trials(
         partitions: dict[str, list[list[int]]] = {}
         search_cache: dict = {}
         for spec in specs:
-            model, partition = _train_one(spec, train, t, search_cache)
+            result = None
+            if spec.kind in (PM, ANB):
+                # per-trial salt keeps search streams independent across trials
+                # while remaining a pure function of the configured seed
+                key = (spec.search, spec.prior)
+                result = search_cache.get(key)
+                if result is None:
+                    trial_cfg = replace(
+                        spec.search, seed=derive_seed(spec.search.seed, _TRIAL_SEARCH_STREAM, t)
+                    )
+                    result = search_cache[key] = pm_search(train, spec.prior, trial_cfg)
+                partitions[spec.name] = [list(b) for b in result.best_partition]
+            model = train_model(spec, train, result)
             zo, ll, _ = _evaluate(model, test_rows, test_labels)
             metrics[spec.name] = {"zero_one_loss": zo, "log_loss": ll}
-            if partition is not None:
-                partitions[spec.name] = [list(b) for b in partition]
         trial_results.append(
             TrialResult(t, train.digest(), train.n_rows, len(test_idx), metrics, partitions)
         )

@@ -8,6 +8,7 @@ on load.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from .classifiers import (
 from .data import DatasetEncoder, Schema
 from .errors import DataError
 from .scoring import CountTable, PriorSpec
-from .search import validate_partition
+from .search import singleton_partition, validate_partition
 
 FORMAT_VERSION = 1
 
@@ -72,6 +73,20 @@ def model_to_json_dict(model, encoder: DatasetEncoder) -> dict:
     return base
 
 
+def _singleton_table(i: int, dense: list, class_arity: int) -> CountTable:
+    """The count table of predictor i from its dense (value x class) counts,
+    keeping the values that occur."""
+    dense = np.array(dense, dtype=np.int64)
+    if dense.ndim != 2:
+        raise ValueError(f"table {i} must be a (value x class) matrix")
+    seen = dense.any(axis=1)
+    q = len(dense)
+    counts = dense[seen]
+    return CountTable(
+        (i,), np.flatnonzero(seen)[:, None], counts, int(counts.sum()), class_arity, q, math.log(q)
+    )
+
+
 def model_from_json_dict(d: dict):
     """Rebuild (model, encoder) from a model file dictionary."""
     if d.get("format_version") != FORMAT_VERSION:
@@ -79,24 +94,16 @@ def model_from_json_dict(d: dict):
     encoder = DatasetEncoder.from_json_dict(d["encoder"])
     prior = PriorSpec.from_json_dict(d["prior"])
     kind = d["kind"]
-    if kind == "nb":
+    if kind in ("nb", "anb"):
         schema = Schema.from_json_dict(d["schema"])
-        model = NBClassifier(
-            schema,
-            np.array(d["class_counts"], dtype=np.int64),
-            tuple(np.array(t, dtype=np.int64) for t in d["tables"]),
-            prior,
-        )
-    elif kind == "anb":
-        schema = Schema.from_json_dict(d["schema"])
-        tables = tuple(CountTable.from_json_dict(t) for t in d["block_tables"])
-        model = ANBClassifier(
-            schema,
-            validate_partition(d["partition"], schema.n_predictors),
-            np.array(d["class_counts"], dtype=np.int64),
-            tables,
-            prior,
-        )
+        class_counts = np.array(d["class_counts"], dtype=np.int64)
+        if kind == "nb":
+            cls, partition = NBClassifier, singleton_partition(schema.n_predictors)
+            tables = tuple(_singleton_table(i, t, schema.class_arity) for i, t in enumerate(d["tables"]))
+        else:
+            cls, partition = ANBClassifier, validate_partition(d["partition"], schema.n_predictors)
+            tables = tuple(CountTable.from_json_dict(t) for t in d["block_tables"])
+        model = cls(schema, partition, class_counts, tables, prior)
     elif kind == "mixture":
         model = mixture_from_tables([CountTable.from_json_dict(t) for t in d["tables"]], prior)
     elif kind == "diagnostic":

@@ -19,7 +19,6 @@ import numpy as np
 from scipy.special import gammaln
 
 from .data import Dataset
-from .errors import ConfigError
 
 UNIFORM_CELL = "uniform_cell"
 EQUIVALENT_SAMPLE_SIZE = "equivalent_sample_size"
@@ -28,13 +27,6 @@ EQUIVALENT_SAMPLE_SIZE = "equivalent_sample_size"
 # limit of the gamma ratios instead of raw floats
 _LOG_FLOAT_SAFE = 600.0
 _TINY = np.finfo(float).tiny
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if x <= 0:
-        raise ValueError("log_gamma requires x > 0")
-    return math.lgamma(x)
 
 
 @dataclass(frozen=True)
@@ -129,10 +121,8 @@ class CountTable:
     Only configurations that occur in the data are stored, in lexicographic
     order: ``config_array`` is an (n_configs, len(subset)) int64 array whose
     rows line up with the rows of ``counts``, and ``config_totals`` holds
-    each stored configuration's number of rows. ``configs`` (the same
-    configurations as a tuple of int tuples) is built from the array on
-    first use only, because scoring reads nothing but the counts. The
-    constructor takes ``configs`` in either form. A table that
+    each stored configuration's number of rows. The constructor takes
+    ``configs`` as such an array or as a sequence of int tuples. A table that
     `build_count_table` tallied by integer key keeps only the sorted keys and
     decodes ``config_array`` from them on its first read. ``q`` is the exact
     size of the full configuration space (a Python int, so it never wraps)
@@ -208,10 +198,6 @@ class CountTable:
             config_array = np.stack(np.unravel_index(self._keys, self._arities), axis=1)
         config_array.flags.writeable = False
         return config_array
-
-    @cached_property
-    def configs(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.config_array.tolist()))
 
     def to_json_dict(self) -> dict:
         return {

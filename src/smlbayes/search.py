@@ -17,7 +17,6 @@ import numpy as np
 from .data import Dataset, derive_seed
 from .errors import ConfigError
 from .scoring import (
-    CountTable,
     FamilyScore,
     PriorSpec,
     build_count_table,

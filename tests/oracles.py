@@ -145,6 +145,11 @@ def log_sml_direct(table, prior: PriorSpec) -> float:
     return float(row_part.sum() + cell_part.sum())
 
 
+def config_tuples(table) -> tuple[tuple[int, ...], ...]:
+    """A CountTable's stored configurations as a tuple of int tuples."""
+    return tuple(map(tuple, table.config_array.tolist()))
+
+
 # prior cell mass that underflowed float range is floored to this
 _CELL_FLOOR = np.finfo(float).tiny
 

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from oracles import random_dataset
 from smlbayes import (
+    ANBClassifier,
     ConfigError,
     DataError,
     Dataset,
@@ -15,16 +16,12 @@ from smlbayes import (
     MixtureClassifier,
     PriorSpec,
     Schema,
-    anb_predict,
     build_anb,
     build_count_table,
     build_nb,
     build_omi,
     build_pm_mixture,
-    diag_predict,
     log_sml,
-    mixture_predict,
-    nb_predict,
     singleton_partition,
 )
 from scipy.special import logsumexp
@@ -54,17 +51,17 @@ class TestDiagnostic:
         # config counts [2, 0] under alpha=1: (2+1)/(2+2), (0+1)/(2+2)
         data = _data([[0], [0]], [0, 0], (2,))
         model = DiagnosticClassifier(build_count_table(data, (0,)), UNIFORM)
-        assert_allclose(diag_predict(model, [0]), [0.75, 0.25], atol=1e-12)
+        assert_allclose(model.predict([0]), [0.75, 0.25], atol=1e-12)
 
     def test_unseen_config_gives_prior_predictive(self):
         data = _data([[0]], [0], (2,))
         model = DiagnosticClassifier(build_count_table(data, (0,)), UNIFORM)
-        assert_allclose(diag_predict(model, [1]), [0.5, 0.5], atol=1e-12)
+        assert_allclose(model.predict([1]), [0.5, 0.5], atol=1e-12)
 
     def test_balanced_counts_give_uniform(self):
         data = _data([[1], [1]], [0, 1], (2,))
         model = DiagnosticClassifier(build_count_table(data, (0,)), UNIFORM)
-        assert_allclose(diag_predict(model, [1]), [0.5, 0.5], atol=1e-12)
+        assert_allclose(model.predict([1]), [0.5, 0.5], atol=1e-12)
 
     def test_appending_row_multiplies_score_by_prediction(self):
         # the one-step predictive is exactly the score ratio
@@ -87,7 +84,7 @@ class TestDiagnostic:
             )
             after = log_sml(build_count_table(grown, subset), prior)
             assert_allclose(
-                after - before, math.log(diag_predict(model, x)[k]), atol=1e-10
+                after - before, math.log(model.predict(x)[k]), atol=1e-10
             )
 
 
@@ -97,7 +94,7 @@ class TestMixture:
         model = build_omi(data, 1, UNIFORM)
         assert len(model.components) == 1
         assert_allclose(model.log_weights, [0.0], atol=1e-12)
-        assert_allclose(mixture_predict(model, [0]), diag_predict(model.components[0], [0]))
+        assert_allclose(model.predict([0]), model.components[0].predict([0]))
 
     def test_probability_space_average(self):
         # hand-built components with known predictions and weights 3/4, 1/4
@@ -109,7 +106,7 @@ class TestMixture:
             (c1, c2), np.array([math.log(0.75), math.log(0.25)])
         )
         expected = 0.75 * np.array([4 / 6, 2 / 6]) + 0.25 * np.array([2 / 6, 4 / 6])
-        assert_allclose(mixture_predict(model, [0]), expected, atol=1e-12)
+        assert_allclose(model.predict([0]), expected, atol=1e-12)
 
     def test_weights_normalize(self):
         rng = np.random.default_rng(19)
@@ -174,7 +171,7 @@ class TestNaiveBayes:
         data = _data([[0], [0], [1]], [0, 0, 1], (2,))
         model = build_nb(data, UNIFORM)
         assert_allclose(
-            nb_predict(model, [0]),
+            model.predict([0]),
             [0.7714285714285715, 0.2285714285714286],
             atol=1e-12,
         )
@@ -182,12 +179,12 @@ class TestNaiveBayes:
     def test_no_predictors_gives_smoothed_marginal(self):
         data = _data([[] for _ in range(3)], [0, 0, 1], ())
         model = build_nb(data, UNIFORM)
-        assert_allclose(nb_predict(model, []), [3 / 5, 2 / 5], atol=1e-12)
+        assert_allclose(model.predict([]), [3 / 5, 2 / 5], atol=1e-12)
 
     def test_unseen_value_index_uses_zero_counts(self):
         data = _data([[0], [1]], [0, 1], (2,))
         model = build_nb(data, UNIFORM)
-        p = nb_predict(model, [2])  # out-of-range sentinel
+        p = model.predict([2])  # out-of-range sentinel
         _assert_distribution(p, 2)
         assert_allclose(p, [0.5, 0.5], atol=1e-12)
 
@@ -210,7 +207,7 @@ class TestAnb:
             anb = build_anb(singleton_partition(n), data, prior)
             for _ in range(5):
                 x = [int(rng.integers(a)) for a in arities]
-                assert_allclose(anb_predict(anb, x), nb_predict(nb, x), atol=1e-12)
+                assert_allclose(anb.predict(x), nb.predict(x), atol=1e-12)
 
     def test_single_block_matches_diagnostic_under_ess(self):
         # with one block holding everything, the class-prior mass and the
@@ -228,12 +225,12 @@ class TestAnb:
             )
             for _ in range(5):
                 x = [int(rng.integers(a)) for a in arities]
-                assert_allclose(anb_predict(anb, x), diag_predict(diag, x), atol=1e-10)
+                assert_allclose(anb.predict(x), diag.predict(x), atol=1e-10)
 
     def test_unseen_block_config(self):
         data = _data([[0, 0], [0, 0]], [0, 1], (2, 2))
         model = build_anb([[0, 1]], data, UNIFORM)
-        p = anb_predict(model, [1, 1])
+        p = model.predict([1, 1])
         _assert_distribution(p, 2)
 
     def test_block_tables_follow_partition(self):
@@ -250,6 +247,23 @@ class TestAnb:
         for bad in ([[0]], [[0, 1], [1]], [[0, 0, 1]]):
             with pytest.raises(ValueError):
                 build_anb(bad, data, UNIFORM)
+
+    def test_inconsistent_counts_rejected(self):
+        data = _data([[0, 1], [1, 1], [0, 0]], [0, 1, 0], (2, 2))
+        three = _data([[0, 1], [1, 1], [0, 0]], [0, 2, 0], (2, 2), r=3)
+        model = build_anb([[0], [1]], data, UNIFORM)
+        tables = model.block_tables
+        ANBClassifier(data.schema, model.partition, model.class_counts, tables, UNIFORM)
+        for counts, blocks in [
+            (np.array([[2, 1]]), tables),
+            (np.array([3]), tables),
+            (np.array([4, -1]), tables),
+            (model.class_counts, tables[:1]),
+            (model.class_counts, tables[::-1]),
+            (model.class_counts, (tables[0], build_count_table(three, (1,)))),
+        ]:
+            with pytest.raises(ValueError):
+                ANBClassifier(data.schema, model.partition, counts, blocks, UNIFORM)
 
 
 class TestSharedProperties:

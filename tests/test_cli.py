@@ -49,7 +49,8 @@ class TestParsePrior:
         assert parse_prior("bdeu:2") == PriorSpec.equivalent_sample_size(2.0)
 
     def test_rejects(self):
-        for bad in ("jeffreys", "uniform:zero", "uniform:-1", "bdeu:0"):
+        for bad in ("jeffreys", "uniform:zero", "uniform:-1", "bdeu:0",
+                    "uniform:nan", "bdeu:inf", "uniform:1e-320"):
             with pytest.raises(ConfigError):
                 parse_prior(bad)
 
@@ -115,6 +116,20 @@ class TestEval:
     def test_bad_prior_exits_3(self, data_csv, tmp_path):
         out = tmp_path / "r.json"
         assert main(_eval_args(data_csv, str(out), **{"--prior": "cauchy"})) == 3
+
+    @pytest.mark.parametrize(
+        "command,prior", [("eval", "bdeu:inf"), ("search", "uniform:1e-320"), ("eval", "uniform:nan")]
+    )
+    def test_non_finite_or_subnormal_prior_writes_nothing(self, data_csv, tmp_path, capsys, command, prior):
+        out = tmp_path / "r.json"
+        if command == "eval":
+            args = _eval_args(data_csv, str(out), **{"--prior": prior})
+        else:
+            args = ["search", "--data", data_csv, "--class-col", "label", "--prior", prior, "--out", str(out)]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: prior strength") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_bad_search_flag_exits_3(self, data_csv, tmp_path):
         out = tmp_path / "r.json"
@@ -282,6 +297,11 @@ class TestTrainPredict:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read model file") and "UTF-8" in err and err.count("\n") == 1
 
+    def test_line_numbers_count_physical_lines(self, data_csv, tmp_path, capsys):
+        # the quoted cell spans lines 2 and 3, so the bad row is on line 4
+        err = self._predict_fails(data_csv, tmp_path, capsys, b'temp,color\n2,"two\nlines"\ny,zz\n')
+        assert "line 4: column 'temp' expected a number, got 'y'" in err
+
     def test_missing_column_is_reported_before_short_rows(self, data_csv, tmp_path, capsys):
         err = self._predict_fails(data_csv, tmp_path, capsys, b"temp\n2\n3,4\n")
         assert "missing predictor column 'color'" in err
@@ -302,6 +322,33 @@ class TestTrainPredict:
         model_path.write_text(json.dumps(payload), encoding="utf-8")
         self._assert_malformed_model(tmp_path, model_path, capsys)
 
+    @pytest.mark.parametrize(
+        "classifier,fault",
+        [
+            ("nb", "negative class count"),
+            ("anb", "negative class count"),
+            ("nb", "one class count"),
+            ("anb", "one class count"),
+            ("nb", "negative table count"),
+            ("nb", "missing table"),
+            ("anb", "missing table"),
+        ],
+    )
+    def test_bad_model_counts_exit_2(self, data_csv, tmp_path, capsys, classifier, fault):
+        model_path = self._train(data_csv, tmp_path, classifier)
+        payload = json.loads(model_path.read_text(encoding="utf-8"))
+        tables = "tables" if classifier == "nb" else "block_tables"
+        if fault == "negative class count":
+            payload["class_counts"][0] = -5
+        elif fault == "one class count":
+            payload["class_counts"] = payload["class_counts"][:1]
+        elif fault == "negative table count":
+            payload["tables"][0][0][0] = -5
+        else:
+            payload[tables] = payload[tables][:-1]
+        model_path.write_text(json.dumps(payload), encoding="utf-8")
+        self._assert_malformed_model(tmp_path, model_path, capsys)
+
     def test_non_object_model_exits_2(self, tmp_path, capsys):
         model_path = tmp_path / "list.json"
         model_path.write_text("[]", encoding="utf-8")
@@ -317,6 +364,7 @@ class TestTrainPredict:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: malformed model file") and err.count("\n") == 1
+        assert not (tmp_path / "p.csv").exists()
 
 
 def test_help_runs_as_module():
