@@ -30,7 +30,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .data import Dataset, Schema
 from .errors import ConfigError, DataError
@@ -38,6 +37,7 @@ from .scoring import (
     _KEY_LIMIT,
     CountTable,
     PriorSpec,
+    _log_sum_exp,
     build_count_table,
     log_sml,
 )
@@ -180,7 +180,7 @@ class MixtureClassifier:
             raise ValueError("one log weight per component required")
         if not len(self.components):
             raise ValueError("mixture needs at least one component")
-        if abs(float(logsumexp(lw))) > 1e-9:
+        if abs(_log_sum_exp(lw.tolist())) > 1e-9:
             raise ValueError("log weights must normalize to 1")
         self.log_weights = lw
 
@@ -203,7 +203,7 @@ def mixture_from_tables(tables: list[CountTable], prior: PriorSpec) -> MixtureCl
     Weights are the tables' log SML scores normalized by log-sum-exp.
     """
     scores = np.array([log_sml(t, prior) for t in tables])
-    log_weights = scores - logsumexp(scores)
+    log_weights = scores - _log_sum_exp(scores.tolist())
     components = tuple(DiagnosticClassifier(t, prior) for t in tables)
     return MixtureClassifier(components, log_weights)
 
@@ -295,6 +295,9 @@ class ANBClassifier:
         for block, table in zip(self.partition, self.block_tables):
             if table.subset != tuple(block) or table.class_arity != r:
                 raise ValueError(f"block {list(block)} needs a table over it with {r} classes")
+            # every table tallies the same rows, so its class totals are the class counts
+            if not np.array_equal(table.counts.sum(axis=0), counts):
+                raise ValueError(f"block {list(block)} disagrees with the class counts")
 
     def predict(self, x: Sequence[int]) -> ClassDistribution:
         """Bayes rule in log space, one factor per block's joint configuration.

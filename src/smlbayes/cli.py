@@ -12,7 +12,6 @@ import json
 import math
 import sys
 from array import array
-from pathlib import Path
 
 import numpy as np
 
@@ -60,10 +59,32 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected true or false, got {text!r}")
 
 
+def _bin_count(text: str) -> int:
+    try:
+        bins = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if bins < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {bins}")
+    return bins
+
+
+def _fraction(text: str) -> float:
+    try:
+        frac = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 < frac < 1.0:  # nan fails too
+        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {text}")
+    return frac
+
+
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="CSV file with a header row")
     p.add_argument("--class-col", required=True, help="name of the class column")
-    p.add_argument("--bins", type=int, default=3, help="equal-frequency bins for numeric columns")
+    p.add_argument(
+        "--bins", type=_bin_count, default=3, help="equal-frequency bins for numeric columns"
+    )
 
 
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
@@ -80,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="repeated-split evaluation of classifiers")
     _add_data_flags(p_eval)
     p_eval.add_argument("--trials", type=int, default=50)
-    p_eval.add_argument("--train-frac", type=float, default=0.75)
+    p_eval.add_argument("--train-frac", type=_fraction, default=0.75)
     p_eval.add_argument(
         "--classifiers", required=True, help="comma list: nb, om<i>, pm, anb"
     )
@@ -123,9 +144,18 @@ def _load_encoded(args):
     return raw, encoder, encoder.encode_table(raw)
 
 
+def _open_out(path: str, newline: str | None = None):
+    """Open the --out file for writing; a path that cannot be opened is an input problem."""
+    try:
+        return open(path, "w", newline=newline, encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_json(path: str, payload: dict) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    with _open_out(path) as fh:
+        fh.write(text + "\n")
 
 
 def _search_config(args) -> SearchConfig:
@@ -263,7 +293,7 @@ def _cmd_predict(args) -> int:
         value_names.append(f"class{len(value_names)}")
 
     # opened only now, so input that fails to encode leaves no output file
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+    with _open_out(args.out, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"p_{v}" for v in value_names] + ["predicted"])
         for x in codes:

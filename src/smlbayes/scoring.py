@@ -16,7 +16,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .data import Dataset
 
@@ -27,6 +26,39 @@ EQUIVALENT_SAMPLE_SIZE = "equivalent_sample_size"
 # limit of the gamma ratios instead of raw floats
 _LOG_FLOAT_SAFE = 600.0
 _TINY = np.finfo(float).tiny
+
+
+def _lgamma_or_inf(x: float) -> float:
+    try:
+        return math.lgamma(x)
+    except OverflowError:  # lgamma(x) > float max for x above ~2.55e305
+        return math.inf
+
+
+def _lgamma(x) -> np.ndarray:
+    """Elementwise log|gamma(x)|: `math.lgamma` mapped over a float array.
+
+    The score kernel only asks for short runs of arguments, so one map over
+    the scalar function beats any vectorized series. Arguments whose lgamma
+    leaves float range give inf.
+    """
+    x = np.asarray(x, dtype=float)
+    values = x.ravel().tolist()
+    out = np.fromiter(map(_lgamma_or_inf, values), dtype=float, count=len(values))
+    return out.reshape(x.shape)
+
+
+def _log_sum_exp(values: Sequence[float]) -> float:
+    """log(sum(exp(values))) for a nonempty sequence of floats.
+
+    Max-shifted, so values anywhere down to -1e6 and beyond neither overflow
+    nor collapse to -inf; `fsum` adds the shifted terms exactly rounded.
+    Inputs are a handful of floats, so plain `math` beats any array call.
+    """
+    top = max(values)
+    if math.isinf(top):
+        return top
+    return top + math.log(math.fsum([math.exp(v - top) for v in values]))
 
 
 @dataclass(frozen=True)
@@ -307,23 +339,24 @@ def log_sml(table: CountTable, prior: PriorSpec) -> float:
     a_cell, log_a_cell = prior.cell_prior(table.q, table.log_q, r)
     counts = table.counts
     n_j = table.config_totals
-    if a_cell > 0.0:
+    if a_cell >= _TINY:
         a_row = a_cell * r
         top = int(n_j.max())
         if top < counts.size:
             steps = np.arange(top + 1)
-            row_lut, cell_lut = gammaln(a_row + steps), gammaln(a_cell + steps)
+            row_lut, cell_lut = _lgamma(a_row + steps), _lgamma(a_cell + steps)
             row_part = row_lut[0] - row_lut[n_j]
             cell_part = cell_lut[counts] - cell_lut[0]
         else:
-            row_part = gammaln(a_row) - gammaln(a_row + n_j)
-            cell_part = gammaln(counts + a_cell) - gammaln(a_cell)
+            row_part = _lgamma(a_row) - _lgamma(a_row + n_j)
+            cell_part = _lgamma(counts + a_cell) - _lgamma(a_cell)
         return float(row_part.sum() + cell_part.sum())
-    # prior mass underflowed float range: gamma(a)/gamma(a + N) -> -log a - lgamma(N)
+    # prior mass underflowed to 0 or to a subnormal, whose few significant
+    # bits would skew the score: gamma(a)/gamma(a + N) -> -log a - lgamma(N)
     log_a_row = log_a_cell + math.log(r)
-    row_part = -log_a_row - gammaln(n_j)
+    row_part = -log_a_row - _lgamma(n_j)
     pos = counts > 0
-    cell_part = np.where(pos, gammaln(np.maximum(counts, 1)) + log_a_cell, 0.0)
+    cell_part = np.where(pos, _lgamma(np.maximum(counts, 1)) + log_a_cell, 0.0)
     return float(row_part.sum() + cell_part.sum())
 
 
@@ -350,18 +383,9 @@ class FamilyScore:
 
 
 def log_family_score(member_log_scores: Sequence[float]) -> FamilyScore:
-    """Average the member likelihoods in probability space, staying in logs.
-
-    Max-shifted log-sum-exp, so members anywhere down to -1e6 and beyond
-    neither overflow nor collapse to -inf. Families are a handful of floats,
-    so plain `math` beats any array call; `fsum` adds the shifted terms
-    exactly rounded.
-    """
+    """Average the member likelihoods in probability space, staying in logs:
+    the log-sum-exp of the members less log(n)."""
     members = tuple(float(s) for s in member_log_scores)
     if not members:
         raise ValueError("family must have at least one member score")
-    top = max(members)
-    if math.isinf(top):
-        return FamilyScore(top, members)
-    total = math.fsum([math.exp(s - top) for s in members])
-    return FamilyScore(top + math.log(total) - math.log(len(members)), members)
+    return FamilyScore(_log_sum_exp(members) - math.log(len(members)), members)

@@ -17,7 +17,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from smlbayes import Dataset, DatasetEncoder, DiscretizationSpec, PriorSpec, Schema
 from smlbayes.scoring import UNIFORM_CELL
@@ -137,6 +136,7 @@ def dict_count_table(data: Dataset, subset) -> tuple[tuple, list]:
 def log_sml_direct(table, prior: PriorSpec) -> float:
     """The closed form of the SML score with one lgamma call per term, for a
     nonempty table whose prior cell mass is a positive float."""
+    gammaln = np.vectorize(math.lgamma, otypes=[float])
     r = table.class_arity
     a_cell = prior.cell_prior(table.q, table.log_q, r)[0]
     a_row = a_cell * r

@@ -349,6 +349,16 @@ class TestTrainPredict:
         model_path.write_text(json.dumps(payload), encoding="utf-8")
         self._assert_malformed_model(tmp_path, model_path, capsys)
 
+    @pytest.mark.parametrize("classifier", ["nb", "anb"])
+    def test_class_counts_disagreeing_with_tables_exit_2(
+        self, data_csv, tmp_path, capsys, classifier
+    ):
+        model_path = self._train(data_csv, tmp_path, classifier)
+        payload = json.loads(model_path.read_text(encoding="utf-8"))
+        payload["class_counts"] = [1000, 1]
+        model_path.write_text(json.dumps(payload), encoding="utf-8")
+        self._assert_malformed_model(tmp_path, model_path, capsys)
+
     def test_non_object_model_exits_2(self, tmp_path, capsys):
         model_path = tmp_path / "list.json"
         model_path.write_text("[]", encoding="utf-8")
@@ -365,6 +375,54 @@ class TestTrainPredict:
         err = capsys.readouterr().err
         assert err.startswith("error: malformed model file") and err.count("\n") == 1
         assert not (tmp_path / "p.csv").exists()
+
+
+class TestFlagChecks:
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("search", "--bins", "0"),
+            ("search", "--bins", "-1"),
+            ("eval", "--bins", "0"),
+            ("eval", "--train-frac", "1.5"),
+            ("eval", "--train-frac", "0"),
+            ("eval", "--train-frac", "1"),
+            ("eval", "--train-frac", "nan"),
+        ],
+    )
+    def test_out_of_range_flag_exits_3(self, data_csv, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "out.json"
+        if command == "eval":
+            args = _eval_args(data_csv, str(out), **{flag: value})
+        else:
+            args = ["search", "--data", data_csv, "--class-col", "label", flag, value,
+                    "--out", str(out)]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: argument {flag}:") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "search", "train", "predict"])
+    def test_unwritable_out_exits_2(self, data_csv, tmp_path, capsys, command):
+        out = tmp_path / "missing" / "out"
+        data = ["--data", data_csv, "--class-col", "label"]
+        if command == "eval":
+            args = _eval_args(data_csv, str(out))
+        elif command == "search":
+            args = ["search", *data, "--restarts", "2", "--out", str(out)]
+        elif command == "train":
+            args = ["train", *data, "--classifier", "nb", "--out", str(out)]
+        else:
+            model = tmp_path / "nb.json"
+            assert main(["train", *data, "--classifier", "nb", "--out", str(model)]) == 0
+            rows = tmp_path / "new.csv"
+            rows.write_text("temp,color\n2,red\n", encoding="utf-8")
+            args = ["predict", "--model", str(model), "--input", str(rows), "--out", str(out)]
+        capsys.readouterr()
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}:") and err.count("\n") == 1
+        assert not out.parent.exists()
 
 
 def test_help_runs_as_module():

@@ -1,7 +1,12 @@
 """Import hygiene of the package, checked with the standard library's `ast`:
-every imported name is used, and every `__all__` entry resolves."""
+every imported name is used, every `__all__` entry resolves, and the runtime
+needs nothing beyond the standard library and numpy; fresh interpreters
+confirm that scipy is neither loaded nor needed."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +54,76 @@ def test_every_export_resolves():
     assert len(set(smlbayes.__all__)) == len(smlbayes.__all__)
     missing = [name for name in smlbayes.__all__ if not hasattr(smlbayes, name)]
     assert not missing
+
+
+def _top_level_imports(tree: ast.Module) -> dict[str, int]:
+    """The top-level package of every absolute import, anywhere in the module."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names[node.module.partition(".")[0]] = node.lineno
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_runtime_imports_only_stdlib_and_numpy(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    allowed = sys.stdlib_module_names | {"numpy", "smlbayes"}
+    foreign = [f"line {line}: {name}" for name, line in _top_level_imports(tree).items()
+               if name not in allowed]
+    assert not foreign, f"{path.name} imports outside the standard library and numpy: {foreign}"
+
+
+SRC = Path(smlbayes.__file__).parent.parent
+
+
+def _fresh_python(code: str, cwd: Path) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=120,
+    )
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    code = (
+        "import sys, smlbayes.cli\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    proc = _fresh_python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    lines = ["temp,color,label"] + [
+        f"{i},{'red' if i % 3 else 'blue'},{'hot' if i > 10 else 'cold'}" for i in range(1, 21)
+    ]
+    (tmp_path / "data.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (tmp_path / "new.csv").write_text("temp,color\n2,red\n18,blue\n", encoding="utf-8")
+    data = ["--data", "data.csv", "--class-col", "label"]
+    search = ["--restarts", "2", "--patience", "20"]
+    commands = [
+        ["eval", *data, "--classifiers", "nb,om1,pm,anb", "--trials", "2", *search, "--out", "e.json"],
+        ["search", *data, *search, "--out", "s.json"],
+        ["train", *data, "--classifier", "pm", *search, "--out", "m.json"],
+        ["predict", "--model", "m.json", "--input", "new.csv", "--out", "p.csv"],
+    ]
+    # a None entry makes every `import scipy` (and scipy.*) raise ImportError
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from smlbayes.cli import main\n"
+        f"print([main(argv) for argv in {commands!r}])\n"
+    )
+    proc = _fresh_python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0, 0, 0]\n", proc.stderr
+    for name in ("e.json", "s.json", "m.json", "p.csv"):
+        assert (tmp_path / name).stat().st_size > 0

@@ -47,6 +47,7 @@ from smlbayes import (
 from smlbayes import search
 from smlbayes.data import RawColumn, RawTable
 from smlbayes.model_io import model_from_json_dict, model_to_json_dict
+from smlbayes.scoring import _lgamma, _log_sum_exp
 
 
 @st.composite
@@ -425,3 +426,43 @@ def test_search_reports_equal_the_enumerating_oracle_run(seed, arities, r, n_row
         want = search.pm_search(data, prior, config)
     assert result.to_json_dict() == want.to_json_dict()
     assert result.best_score == score_partition(result.best_partition, data, prior)
+
+
+def _assert_near_mpmath(got: float, want, tol: float) -> None:
+    """|got - want| within tol relative to |want|, with an absolute floor of 1."""
+    want = float(want)
+    assert abs(got - want) <= tol * max(1.0, abs(want)), (got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=5e-324, max_value=1e6))
+def test_lgamma_matches_mpmath(x):
+    with mp.workdps(40):
+        _assert_near_mpmath(float(_lgamma(np.array([x]))[0]), mp.loggamma(mp.mpf(x)), 1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=5e-324, max_value=1e6), st.integers(1, 400))
+def test_lgamma_runs_match_mpmath(a, k):
+    # the lookup-table arguments of log_sml: a prior mass plus every count
+    x = a + np.arange(k)
+    got = _lgamma(x)
+    assert got.shape == x.shape
+    with mp.workdps(40):
+        for g, xi in zip(got.tolist(), x.tolist()):
+            _assert_near_mpmath(g, mp.loggamma(mp.mpf(xi)), 1e-14)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(min_value=2.6e305, allow_nan=False))
+def test_lgamma_is_inf_past_overflow(x):
+    # lgamma overflows float range above ~2.55e305; inf, as scipy's gammaln gives
+    assert _lgamma(np.array([1.0, x, 2.0])).tolist() == [0.0, math.inf, 0.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(min_value=-1e6, max_value=1e3), min_size=1, max_size=12))
+def test_log_sum_exp_matches_mpmath(values):
+    with mp.workdps(60):
+        want = mp.log(mp.fsum(mp.exp(mp.mpf(v)) for v in values))
+        _assert_near_mpmath(_log_sum_exp(values), want, 1e-12)

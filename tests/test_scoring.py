@@ -194,8 +194,9 @@ class TestLogSml:
         return float(total)
 
     def test_equivalent_sample_size_with_huge_config_space(self):
-        # q far beyond int64: the cell prior must move through log space
-        for exponent in (200, 1200):
+        # q far beyond int64: the cell prior must move through log space,
+        # also where it is a subnormal float (2**-1061 down to 2**-1075)
+        for exponent in (200, 1200, 1060, 1070, 1074):
             q = 2**exponent
             table = CountTable(
                 subset=(0, 1),
