@@ -1,7 +1,12 @@
 """Command line interface: eval, search, train, predict.
 
+Every CSV, training data and predict input alike, is read under the same
+rules: unique header names, one field per name in every row, no empty cell,
+and finite numbers in numeric columns.
+
 Exit codes: 0 on success, 2 for input problems (unreadable or malformed
-data), 3 for configuration problems (bad flags or classifier specs).
+data), 3 for configuration problems (bad flags or classifier specs, a
+partition search over no predictors, a prior whose scores are not finite).
 """
 
 from __future__ import annotations
@@ -11,14 +16,13 @@ import csv
 import json
 import math
 import sys
-from array import array
 
 import numpy as np
 
 from .classifiers import DiagnosticClassifier, MixtureClassifier
-from .data import NUMERIC, DatasetEncoder, _numbered_rows, fit_discretization, load_csv, read_text
+from .data import NUMERIC, DatasetEncoder, fit_discretization, load_csv, read_columns
 from .errors import ConfigError, DataError
-from .harness import run_trials, spec_from_token, train_model
+from .harness import ANB, PM, run_trials, spec_from_token, train_model
 from .model_io import load_model, model_to_json_dict
 from .scoring import PriorSpec
 from .search import SearchConfig, pm_search
@@ -135,10 +139,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_encoded(args):
+def _load_encoded(args, search: bool):
+    """The raw table, its encoder and its encoding; `search` says a partition
+    search will run on it, which needs at least one predictor."""
     raw = load_csv(args.data, args.class_col)
     if raw.n_rows == 0:
         raise DataError("CSV has no data rows")
+    if search and not raw.predictors:
+        raise ConfigError("search needs at least one predictor column")
     spec = fit_discretization(raw, args.bins)
     encoder = DatasetEncoder.fit(raw, spec)
     return raw, encoder, encoder.encode_table(raw)
@@ -178,7 +186,7 @@ def _cmd_eval(args) -> int:
         raise ConfigError("--classifiers must name at least one classifier")
     specs = [spec_from_token(t, prior, search) for t in tokens]
     global_disc = _parse_bool(args.global_discretize)
-    raw, _, data = _load_encoded(args)
+    raw, _, data = _load_encoded(args, any(s.kind in (PM, ANB) for s in specs))
     report = run_trials(
         data,
         specs,
@@ -202,7 +210,7 @@ def _cmd_eval(args) -> int:
 def _cmd_search(args) -> int:
     prior = parse_prior(args.prior)
     config = _search_config(args)
-    _, _, data = _load_encoded(args)
+    _, _, data = _load_encoded(args, True)
     result = pm_search(data, prior, config)
     payload = result.to_json_dict()
     payload["format_version"] = 1
@@ -219,7 +227,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_train(args) -> int:
     spec = spec_from_token(args.classifier, parse_prior(args.prior), _search_config(args))
-    _, encoder, data = _load_encoded(args)
+    _, encoder, data = _load_encoded(args, spec.kind in (PM, ANB))
     _write_json(args.out, model_to_json_dict(train_model(spec, data), encoder))
     return EXIT_OK
 
@@ -227,50 +235,24 @@ def _cmd_train(args) -> int:
 def _read_codes(path: str, encoder: DatasetEncoder) -> np.ndarray:
     """Encode every row of the predictor CSV at `path`: an (n_rows, k) array.
 
-    Columns follow ``encoder.predictor_names``. Each cell is parsed once and
-    only its code is kept (numeric cells are kept as floats until the end,
-    then binned column by column); the row's text is dropped once read.
+    Columns follow ``encoder.predictor_names``; the input's other columns
+    are skipped, and its column order is free.
     """
-    names = encoder.predictor_names
-    with read_text(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError("empty input CSV") from None
+    names, kinds = encoder.predictor_names, encoder.kinds
+
+    def keep(header):
+        if header is None:
+            raise DataError("empty input CSV")
         for name in names:
             if name not in header:
                 raise DataError(f"missing predictor column {name!r}")
-        # (name, position, level codes and the unseen code or None, parsed values)
-        columns = []
-        for name, kind in zip(names, encoder.kinds):
-            if kind == NUMERIC:
-                columns.append((name, header.index(name), None, array("d")))
-            else:
-                columns.append((name, header.index(name), encoder.level_codes(name), array("q")))
-        n_rows = 0
-        for n_rows, (line, row) in enumerate(_numbered_rows(reader, len(header)), start=1):
-            for name, pos, levels, values in columns:
-                cell = row[pos].strip()
-                if levels is not None:
-                    codes, unseen = levels
-                    values.append(codes.get(cell, unseen))
-                    continue
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"line {line}: column {name!r} expected a number, got {cell!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DataError(
-                        f"line {line}: column {name!r} expected a finite number, got {cell!r}"
-                    )
-                values.append(value)
-    out = np.zeros((n_rows, len(names)), dtype=np.int64)
-    for j, (name, _, levels, values) in enumerate(columns):
-        out[:, j] = values if levels is not None else encoder.encode_column(name, NUMERIC, values)
-    return out
+        return [(name, kind == NUMERIC) for name, kind in zip(names, kinds)]
+
+    _, columns, n_rows = read_columns(path, keep)
+    codes = np.zeros((n_rows, len(names)), dtype=np.int64)
+    for j, (name, kind, values) in enumerate(zip(names, kinds, columns)):
+        codes[:, j] = encoder.encode_column(name, kind, values)
+    return codes
 
 
 def _cmd_predict(args) -> int:

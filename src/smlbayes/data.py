@@ -3,6 +3,9 @@
 Everything downstream works on integer-coded `Dataset` objects. This module
 owns the boundary between raw CSV text and that representation, plus the
 deterministic train/test split machinery used by the evaluation harness.
+
+`read_columns` is the one CSV reader, for `load_csv` and the CLI's predict
+input alike; `DatasetEncoder.encode_column` turns every column into codes.
 """
 
 from __future__ import annotations
@@ -162,14 +165,6 @@ class RawTable:
         )
 
 
-def _looks_numeric(cell: str) -> bool:
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
-
-
 @contextmanager
 def read_text(source) -> Iterator[io.TextIOBase]:
     """Text stream over a path, bytes, or a text or binary stream.
@@ -203,18 +198,59 @@ def read_text(source) -> Iterator[io.TextIOBase]:
         raise DataError(f"cannot read {name}: not valid UTF-8 ({exc.reason})") from None
 
 
-def _numbered_rows(reader, n_fields: int) -> Iterator[tuple[int, list[str]]]:
-    """Each remaining row of a `csv.reader` with the physical line it ends on;
-    a row without `n_fields` fields raises `DataError`."""
-    for row in reader:
-        if len(row) != n_fields:
-            raise DataError(f"line {reader.line_num}: row has {len(row)} fields, expected {n_fields}")
-        yield reader.line_num, row
-
-
 # a column shares one str per distinct cell text until it has seen this many
 # distinct texts; past that (numeric columns) the sharing dict is dropped
 _SHARED_TEXTS_MAX = 1024
+
+
+def read_columns(source, keep) -> tuple[list[str], list[list], int]:
+    """The header, the kept columns and the number of data rows of a CSV.
+
+    Header names are stripped and must be distinct. ``keep(header)`` gets
+    them (None if there is no header row), raises `DataError` for a header
+    its caller cannot use, and returns ``(name, numeric)`` per column to
+    keep, in the order a row's cells are checked. Each row must have one
+    field per name and each kept cell, stripped, must be nonempty; numeric
+    columns hold finite floats, the others one shared str per text. The first
+    fault in file order raises `DataError` naming its line and column.
+    """
+    with read_text(source) as stream:
+        reader = csv.reader(stream)
+        header = next(reader, None)
+        if header is not None:
+            header = [h.strip() for h in header]
+            if len(set(header)) != len(header):
+                raise DataError("duplicate column names in header")
+        # [position, name, numeric, values, shared texts or None]
+        columns = [[header.index(name), name, numeric, [], {}] for name, numeric in keep(header)]
+        n_fields = len(header)
+        n_rows = 0
+        for row in reader:
+            line = reader.line_num
+            if len(row) != n_fields:
+                raise DataError(f"line {line}: row has {len(row)} fields, expected {n_fields}")
+            n_rows += 1
+            for column in columns:
+                pos, name, numeric, values, texts = column
+                text = row[pos].strip()
+                if not text:
+                    raise DataError(f"line {line}: empty cell in column {name!r}")
+                if numeric:
+                    try:
+                        value = float(text)
+                    except ValueError:
+                        value = None
+                    if value is None or not math.isfinite(value):
+                        what = "a number" if value is None else "a finite number"
+                        raise DataError(f"line {line}: column {name!r} expected {what}, got {text!r}")
+                    values.append(value)
+                    continue
+                if texts is not None:
+                    text = texts.setdefault(text, text)
+                    if len(texts) > _SHARED_TEXTS_MAX:
+                        column[4] = None
+                values.append(text)
+    return header, [column[3] for column in columns], n_rows
 
 
 def load_csv(source, class_column: str) -> RawTable:
@@ -226,48 +262,33 @@ def load_csv(source, class_column: str) -> RawTable:
     holding nan or infinite cells, are rejected outright so they cannot
     silently skew counts downstream.
     """
-    with read_text(source) as stream:
-        reader = csv.reader(stream)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("empty CSV: missing header row") from None
-        header = [h.strip() for h in header]
-        if len(set(header)) != len(header):
-            raise DataError("duplicate column names in header")
+
+    def keep(header):
+        if header is None:
+            raise DataError("empty CSV: missing header row")
         if class_column not in header:
             raise DataError(f"unknown class column {class_column!r}")
+        return [(name, False) for name in header]
 
-        columns: list[list[str]] = [[] for _ in header]
-        # repeated cells then hold one str object, not one per row
-        shared: list[dict[str, str] | None] = [{} for _ in header]
-        for line, row in _numbered_rows(reader, len(header)):
-            for j, cell in enumerate(row):
-                text = cell.strip()
-                if text == "":
-                    raise DataError(f"line {line}: empty cell in column {header[j]!r}")
-                texts = shared[j]
-                if texts is not None:
-                    text = texts.setdefault(text, text)
-                    if len(texts) > _SHARED_TEXTS_MAX:
-                        shared[j] = None
-                columns[j].append(text)
-
-    class_idx = header.index(class_column)
+    header, columns, _ = read_columns(source, keep)
     predictors = []
     for name, cells in zip(header, columns):
         if name == class_column:
             continue
-        if cells and all(_looks_numeric(c) for c in cells):
-            values = [float(c) for c in cells]
-            if not all(map(math.isfinite, values)):
-                cell = next(c for c, v in zip(cells, values) if not math.isfinite(v))
-                raise DataError(f"column {name!r}: non-finite number {cell!r}")
+        try:
+            values = list(map(float, cells))
+        except ValueError:
+            values = []
+        if not values:  # a cell that is not a number, or no rows at all
+            predictors.append(RawColumn(name, CATEGORICAL, cells))
+        elif all(map(math.isfinite, values)):
             predictors.append(RawColumn(name, NUMERIC, values))
         else:
-            predictors.append(RawColumn(name, CATEGORICAL, cells))
+            cell = next(c for c, v in zip(cells, values) if not math.isfinite(v))
+            raise DataError(f"column {name!r}: non-finite number {cell!r}")
     # class values stay raw strings; they are encoded by first appearance later
-    return RawTable(predictors, RawColumn(class_column, CATEGORICAL, columns[class_idx]))
+    labels = columns[header.index(class_column)]
+    return RawTable(predictors, RawColumn(class_column, CATEGORICAL, labels))
 
 
 def fit_equal_frequency(values: Sequence[float], bins: int) -> list[float]:
@@ -349,6 +370,19 @@ def fit_discretization(raw: RawTable, bins: int = 3) -> DiscretizationSpec:
     return DiscretizationSpec(cuts, bins)
 
 
+def _text_codes(levels: Sequence, values: Sequence) -> np.ndarray:
+    """Index in `levels` of each value's text, ``len(levels)`` for a text
+    that is none of them. A level listed twice keeps its first index; a
+    level that is not a str equals no text."""
+    unseen = len(levels)
+    index = {v: i for i, v in reversed(list(enumerate(levels))) if isinstance(v, str)}
+    codes = np.fromiter(map(index.get, values, repeat(unseen)), dtype=np.int64, count=len(values))
+    # a value that is not a str may still name a level through its text
+    for i in np.flatnonzero(codes == unseen).tolist():
+        codes[i] = index.get(str(values[i]), unseen)
+    return codes
+
+
 @dataclass
 class DatasetEncoder:
     """Frozen mapping from raw column values to integer codes.
@@ -417,19 +451,6 @@ class DatasetEncoder:
         except ValueError:
             return len(levels)  # out-of-range sentinel for unseen levels
 
-    def level_codes(self, name: str) -> tuple[dict[str, int], int]:
-        """Code of each level text of a categorical column, and the unseen code.
-
-        A level listed twice keeps its first index, as `encode_value` finds
-        it; a level that is not a str can equal no cell text and is left out.
-        """
-        levels = self.categories[name]
-        codes: dict[str, int] = {}
-        for i, level in enumerate(levels):
-            if isinstance(level, str):
-                codes.setdefault(level, i)
-        return codes, len(levels)
-
     def encode_column(self, name: str, kind: str, values: Sequence) -> np.ndarray:
         """Codes of a whole column, each equal to `encode_value` of its cell."""
         if kind == NUMERIC:
@@ -438,20 +459,7 @@ class DatasetEncoder:
             codes = np.searchsorted(cuts, x, side="left").astype(np.int64, copy=False)
             codes[np.isnan(x)] = 0  # bisect_left puts NaN before every cut
             return codes
-        levels, unseen = self.level_codes(name)
-        codes = np.fromiter(
-            map(levels.get, values, repeat(unseen)), dtype=np.int64, count=len(values)
-        )
-        # a value that is not a str may still name a level through its text
-        for i in np.flatnonzero(codes == unseen).tolist():
-            codes[i] = levels.get(str(values[i]), unseen)
-        return codes
-
-    def encode_class_value(self, value: str) -> int:
-        try:
-            return self.class_values.index(str(value))
-        except ValueError:
-            raise DataError(f"unseen class value {value!r}") from None
+        return _text_codes(self.categories[name], values)
 
     def encode_predictor_rows(self, raw: RawTable) -> np.ndarray:
         """Encode predictor columns only; may contain out-of-range sentinels."""
@@ -467,10 +475,11 @@ class DatasetEncoder:
 
     def encode_table(self, raw: RawTable) -> Dataset:
         rows = self.encode_predictor_rows(raw)
-        labels = np.array(
-            [self.encode_class_value(v) for v in raw.class_column.values],
-            dtype=np.int64,
-        )
+        values = raw.class_column.values
+        labels = _text_codes(self.class_values, values)
+        unseen = np.flatnonzero(labels == len(self.class_values))
+        if unseen.size:
+            raise DataError(f"unseen class value {values[unseen[0]]!r}")
         return Dataset(self.schema(), rows, labels)
 
     def to_json_dict(self) -> dict:

@@ -210,22 +210,15 @@ def run_trials(
         if len(test_idx) == 0:
             raise DataError("degenerate split: empty test set")
 
-        if raw is None:
-            train = data.take(train_idx)
-            test_rows = data.rows[test_idx]
-            test_labels = data.labels[test_idx]
-        else:
+        schema, rows = data.schema, data.rows
+        if raw is not None:
             raw_train = raw.select(train_idx.tolist())
             encoder = DatasetEncoder.fit(
                 raw_train, fit_discretization(raw_train, bins), class_values
             )
-            train = encoder.encode_table(raw_train)
-            raw_test = raw.select(test_idx.tolist())
-            test_rows = encoder.encode_predictor_rows(raw_test)
-            test_labels = np.array(
-                [encoder.encode_class_value(v) for v in raw_test.class_column.values],
-                dtype=np.int64,
-            )
+            schema, rows = encoder.schema(), encoder.encode_predictor_rows(raw)
+        train = Dataset(schema, rows[train_idx], data.labels[train_idx])
+        test_rows, test_labels = rows[test_idx], data.labels[test_idx]
 
         metrics: dict[str, dict[str, float]] = {}
         partitions: dict[str, list[list[int]]] = {}

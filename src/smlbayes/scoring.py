@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset
+from .errors import ConfigError
 
 UNIFORM_CELL = "uniform_cell"
 EQUIVALENT_SAMPLE_SIZE = "equivalent_sample_size"
@@ -316,6 +317,8 @@ def build_count_table(data: Dataset, subset: Sequence[int]) -> CountTable:
     return CountTable(sub, configs, counts, n, r, q, log_q)
 
 
+# lgamma past ~2.55e305 is inf, and inf - inf is nan: raised, not warned about
+@np.errstate(invalid="ignore")
 def log_sml(table: CountTable, prior: PriorSpec) -> float:
     """Log probability of the label sequence given the predictor rows.
 
@@ -332,6 +335,9 @@ def log_sml(table: CountTable, prior: PriorSpec) -> float:
     gathered. Each term is still the lgamma of the same float, summed over
     arrays of the same shape, so the result equals the direct evaluation
     bit for bit.
+
+    A score that is not finite raises `ConfigError` naming the prior: a
+    strength so large that lgamma of the prior mass overflows.
     """
     if table.n_rows == 0:
         return 0.0
@@ -350,14 +356,17 @@ def log_sml(table: CountTable, prior: PriorSpec) -> float:
         else:
             row_part = _lgamma(a_row) - _lgamma(a_row + n_j)
             cell_part = _lgamma(counts + a_cell) - _lgamma(a_cell)
-        return float(row_part.sum() + cell_part.sum())
-    # prior mass underflowed to 0 or to a subnormal, whose few significant
-    # bits would skew the score: gamma(a)/gamma(a + N) -> -log a - lgamma(N)
-    log_a_row = log_a_cell + math.log(r)
-    row_part = -log_a_row - _lgamma(n_j)
-    pos = counts > 0
-    cell_part = np.where(pos, _lgamma(np.maximum(counts, 1)) + log_a_cell, 0.0)
-    return float(row_part.sum() + cell_part.sum())
+    else:
+        # prior mass underflowed to 0 or to a subnormal, whose few significant
+        # bits would skew the score: gamma(a)/gamma(a + N) -> -log a - lgamma(N)
+        log_a_row = log_a_cell + math.log(r)
+        row_part = -log_a_row - _lgamma(n_j)
+        pos = counts > 0
+        cell_part = np.where(pos, _lgamma(np.maximum(counts, 1)) + log_a_cell, 0.0)
+    score = float(row_part.sum() + cell_part.sum())
+    if not math.isfinite(score):
+        raise ConfigError(f"prior {prior.describe()} gives a non-finite score ({score})")
+    return score
 
 
 @dataclass(frozen=True)

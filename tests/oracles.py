@@ -13,12 +13,16 @@ from the generator exactly as the memoized move tables must.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
+from array import array
+from typing import Iterator
 
 import numpy as np
 
-from smlbayes import Dataset, DatasetEncoder, DiscretizationSpec, PriorSpec, Schema
+from smlbayes import DataError, Dataset, DatasetEncoder, DiscretizationSpec, PriorSpec, Schema
+from smlbayes.data import CATEGORICAL, NUMERIC, RawColumn, RawTable, read_text
 from smlbayes.scoring import UNIFORM_CELL
 from smlbayes.search import canonical_partition
 
@@ -270,3 +274,146 @@ def propose_move_oracle(partition, rng: np.random.Generator, max_block_size: int
         blocks[i].extend(blocks[j])
         del blocks[j]
     return canonical_partition(b for b in blocks if b)
+
+
+# --- the CSV readers as they were before `data.read_columns` served both:
+# `load_csv` and `cli._read_codes` (here `read_codes`) with the helpers they
+# used, kept verbatim so the shared reader can be checked against them
+
+
+def _looks_numeric(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _numbered_rows(reader, n_fields: int) -> Iterator[tuple[int, list[str]]]:
+    """Each remaining row of a `csv.reader` with the physical line it ends on;
+    a row without `n_fields` fields raises `DataError`."""
+    for row in reader:
+        if len(row) != n_fields:
+            raise DataError(f"line {reader.line_num}: row has {len(row)} fields, expected {n_fields}")
+        yield reader.line_num, row
+
+
+# a column shares one str per distinct cell text until it has seen this many
+# distinct texts; past that (numeric columns) the sharing dict is dropped
+_SHARED_TEXTS_MAX = 1024
+
+
+def load_csv(source, class_column: str) -> RawTable:
+    """Parse CSV bytes/path into a raw table, separating out the class column.
+
+    The header row is mandatory. A column is numeric when every one of its
+    cells parses as a number with '.' as the decimal separator; otherwise it
+    is categorical. Rows with missing (empty) cells, and numeric columns
+    holding nan or infinite cells, are rejected outright so they cannot
+    silently skew counts downstream.
+    """
+    with read_text(source) as stream:
+        reader = csv.reader(stream)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError("empty CSV: missing header row") from None
+        header = [h.strip() for h in header]
+        if len(set(header)) != len(header):
+            raise DataError("duplicate column names in header")
+        if class_column not in header:
+            raise DataError(f"unknown class column {class_column!r}")
+
+        columns: list[list[str]] = [[] for _ in header]
+        # repeated cells then hold one str object, not one per row
+        shared: list[dict[str, str] | None] = [{} for _ in header]
+        for line, row in _numbered_rows(reader, len(header)):
+            for j, cell in enumerate(row):
+                text = cell.strip()
+                if text == "":
+                    raise DataError(f"line {line}: empty cell in column {header[j]!r}")
+                texts = shared[j]
+                if texts is not None:
+                    text = texts.setdefault(text, text)
+                    if len(texts) > _SHARED_TEXTS_MAX:
+                        shared[j] = None
+                columns[j].append(text)
+
+    class_idx = header.index(class_column)
+    predictors = []
+    for name, cells in zip(header, columns):
+        if name == class_column:
+            continue
+        if cells and all(_looks_numeric(c) for c in cells):
+            values = [float(c) for c in cells]
+            if not all(map(math.isfinite, values)):
+                cell = next(c for c, v in zip(cells, values) if not math.isfinite(v))
+                raise DataError(f"column {name!r}: non-finite number {cell!r}")
+            predictors.append(RawColumn(name, NUMERIC, values))
+        else:
+            predictors.append(RawColumn(name, CATEGORICAL, cells))
+    # class values stay raw strings; they are encoded by first appearance later
+    return RawTable(predictors, RawColumn(class_column, CATEGORICAL, columns[class_idx]))
+
+
+def level_codes(encoder: DatasetEncoder, name: str) -> tuple[dict[str, int], int]:
+    """Code of each level text of a categorical column, and the unseen code.
+
+    A level listed twice keeps its first index, as `encode_value` finds
+    it; a level that is not a str can equal no cell text and is left out.
+    """
+    levels = encoder.categories[name]
+    codes: dict[str, int] = {}
+    for i, level in enumerate(levels):
+        if isinstance(level, str):
+            codes.setdefault(level, i)
+    return codes, len(levels)
+
+
+def read_codes(path: str, encoder: DatasetEncoder) -> np.ndarray:
+    """Encode every row of the predictor CSV at `path`: an (n_rows, k) array.
+
+    Columns follow ``encoder.predictor_names``. Each cell is parsed once and
+    only its code is kept (numeric cells are kept as floats until the end,
+    then binned column by column); the row's text is dropped once read.
+    """
+    names = encoder.predictor_names
+    with read_text(path) as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise DataError("empty input CSV") from None
+        for name in names:
+            if name not in header:
+                raise DataError(f"missing predictor column {name!r}")
+        # (name, position, level codes and the unseen code or None, parsed values)
+        columns = []
+        for name, kind in zip(names, encoder.kinds):
+            if kind == NUMERIC:
+                columns.append((name, header.index(name), None, array("d")))
+            else:
+                columns.append((name, header.index(name), level_codes(encoder, name), array("q")))
+        n_rows = 0
+        for n_rows, (line, row) in enumerate(_numbered_rows(reader, len(header)), start=1):
+            for name, pos, levels, values in columns:
+                cell = row[pos].strip()
+                if levels is not None:
+                    codes, unseen = levels
+                    values.append(codes.get(cell, unseen))
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"line {line}: column {name!r} expected a number, got {cell!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise DataError(
+                        f"line {line}: column {name!r} expected a finite number, got {cell!r}"
+                    )
+                values.append(value)
+    out = np.zeros((n_rows, len(names)), dtype=np.int64)
+    for j, (name, _, levels, values) in enumerate(columns):
+        out[:, j] = values if levels is not None else encoder.encode_column(name, NUMERIC, values)
+    return out

@@ -306,6 +306,18 @@ class TestTrainPredict:
         err = self._predict_fails(data_csv, tmp_path, capsys, b"temp\n2\n3,4\n")
         assert "missing predictor column 'color'" in err
 
+    def test_duplicate_header_name_exits_2(self, data_csv, tmp_path, capsys):
+        err = self._predict_fails(data_csv, tmp_path, capsys, b"temp,color,temp\n2,red,30\n")
+        assert err == "error: duplicate column names in header\n"
+
+    def test_empty_categorical_cell_exits_2(self, data_csv, tmp_path, capsys):
+        err = self._predict_fails(data_csv, tmp_path, capsys, b"temp,color\n2,red\n3, \n")
+        assert err == "error: line 3: empty cell in column 'color'\n"
+
+    def test_empty_numeric_cell_exits_2(self, data_csv, tmp_path, capsys):
+        err = self._predict_fails(data_csv, tmp_path, capsys, b"color,temp\nred,2\nblue,\n")
+        assert err == "error: line 3: empty cell in column 'temp'\n"
+
     def test_byte_order_mark_in_input(self, data_csv, tmp_path):
         model_path = self._train(data_csv, tmp_path, "nb")
         plain = self._predict(tmp_path, model_path, "temp,color\n2,red\n")
@@ -400,6 +412,47 @@ class TestFlagChecks:
         assert main(args) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: argument {flag}:") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search"],
+            ["train", "--classifier", "pm"],
+            ["train", "--classifier", "anb"],
+            ["eval", "--classifiers", "nb,pm", "--trials", "2"],
+            ["eval", "--classifiers", "anb", "--trials", "2"],
+        ],
+        ids=["search", "train-pm", "train-anb", "eval-pm", "eval-anb"],
+    )
+    def test_search_without_predictors_exits_3(self, tmp_path, capsys, argv):
+        data = tmp_path / "cls.csv"
+        data.write_text("cls\np\nq\np\n", encoding="utf-8")
+        out = tmp_path / "out.json"
+        assert main([*argv, "--data", str(data), "--class-col", "cls", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: search needs at least one predictor column\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search"],
+            ["eval", "--classifiers", "nb,om1", "--trials", "2"],
+            ["train", "--classifier", "om1"],
+        ],
+        ids=["search", "eval", "train"],
+    )
+    def test_prior_too_strong_to_score_exits_3(self, tmp_path, capsys, argv):
+        # lgamma of the prior mass overflows, and the score would be nan
+        data = tmp_path / "d.csv"
+        rows = [f"{i},{'xy'[i % 2]},{'pq'[i % 2]}" for i in range(1, 9)]
+        data.write_text("\n".join(["a,b,cls", *rows]) + "\n", encoding="utf-8")
+        out = tmp_path / "out.json"
+        args = [*argv, "--data", str(data), "--class-col", "cls", "--prior", "uniform:1e306"]
+        assert main([*args, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: prior uniform:1e+306 gives a non-finite score (nan)\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "search", "train", "predict"])

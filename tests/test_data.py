@@ -3,6 +3,7 @@
 import gc
 import io
 import json
+import re
 import warnings
 
 import numpy as np
@@ -22,7 +23,7 @@ from smlbayes import (
     load_csv,
     split,
 )
-from smlbayes.data import bin_index, split_indices
+from smlbayes.data import RawColumn, RawTable, bin_index, split_indices
 
 
 def _csv(text: str) -> bytes:
@@ -240,6 +241,18 @@ class TestEncode:
         enc = DatasetEncoder.fit(raw, fit_discretization(raw, 3))
         assert enc.encode_value("b", "categorical", "z") == 2
 
+
+    def test_class_values_encode_by_text_to_their_first_index(self):
+        # a hand-edited encoder may list a class value twice, or a non-str one
+        encoder = DatasetEncoder(
+            (), (), DiscretizationSpec({}), {}, "y", ("p", "q", "p", "1", 2)
+        )
+        raw = RawTable([], RawColumn("y", "categorical", ["q", "p", 1, "1"]))
+        assert encoder.encode_table(raw).labels.tolist() == [1, 0, 3, 3]
+        for value in ("2", 2, "r"):
+            raw = RawTable([], RawColumn("y", "categorical", ["p", value, "r"]))
+            with pytest.raises(DataError, match=f"^unseen class value {re.escape(repr(value))}$"):
+                encoder.encode_table(raw)
 
 class TestDatasetInvariants:
     def test_rejects_label_outside_arity(self):

@@ -1,10 +1,12 @@
 """Import hygiene of the package, checked with the standard library's `ast`:
-every imported name is used, every `__all__` entry resolves, and the runtime
-needs nothing beyond the standard library and numpy; fresh interpreters
-confirm that scipy is neither loaded nor needed."""
+every imported name is used, every `__all__` entry resolves, every defined
+name is used somewhere, and the runtime needs nothing beyond the standard
+library and numpy; fresh interpreters confirm that scipy is neither loaded
+nor needed."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -78,6 +80,76 @@ def test_runtime_imports_only_stdlib_and_numpy(path):
 
 
 SRC = Path(smlbayes.__file__).parent.parent
+# where a definition under src/smlbayes may be used
+REPO = Path(__file__).resolve().parent.parent
+USE_ROOTS = (REPO / "src", REPO / "tests", REPO / "perfbench")
+
+
+def _docstrings(tree: ast.Module) -> set[int]:
+    """ids of the docstring nodes of a module and of its classes and functions."""
+    ids = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                ids.add(id(first.value))
+    return ids
+
+
+def _mentions(tree: ast.Module) -> set[str]:
+    """Every identifier a module mentions outside a definition's own name:
+    read or bound names, attributes, imported names, keyword arguments, and
+    the words of string constants other than docstrings (the benchmark's
+    tracer names its targets in strings)."""
+    skip = _docstrings(tree)
+    words = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            words.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            words.add(node.attr)
+        elif isinstance(node, ast.alias):
+            words.update(node.name.split("."))
+        elif isinstance(node, ast.keyword) and node.arg:
+            words.add(node.arg)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in skip:
+                words.update(re.findall(r"\w+", node.value))
+    return words
+
+
+def test_every_definition_is_used():
+    """Each function, class and method defined under src/smlbayes is named
+    somewhere other than its own definition, in src/, tests/ or perfbench/.
+
+    The match is by name only: a use of one class's `from_json_dict` keeps
+    every `from_json_dict` alive, and a function that only calls itself
+    counts as used. A test or benchmark module that defines a name itself
+    (an oracle kept from an older version, say) does not use the package's
+    definition of it. Dunder methods are called by Python itself and are
+    exempt.
+    """
+    mentioned = set()
+    for root in USE_ROOTS:
+        for path in root.rglob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            words = _mentions(tree)
+            if root != USE_ROOTS[0]:
+                # a test or benchmark module's own top-level functions and
+                # classes (the oracles, say) shadow the package's names
+                words -= {
+                    node.name for node in tree.body
+                    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                }
+            mentioned |= words
+    dead = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+                if not (name.startswith("__") and name.endswith("__")) and name not in mentioned:
+                    dead.append(f"{path.name} line {node.lineno}: {name}")
+    assert not dead, f"definitions never used: {dead}"
 
 
 def _fresh_python(code: str, cwd: Path) -> subprocess.CompletedProcess:

@@ -1,8 +1,11 @@
-"""Property checks of the vectorized scoring kernel, the column-wise
-encoder, the compiled predictors and the memoized partition moves against
-simple references."""
+"""Property checks of the vectorized scoring kernel, the CSV reader, the
+column-wise encoder, the compiled predictors and the memoized partition
+moves against simple references."""
 
+import csv
 import hashlib
+import io
+import re
 import json
 import math
 from unittest import mock
@@ -12,6 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import (
     anb_predict_oracle,
     categorical_encoder,
@@ -44,7 +48,8 @@ from smlbayes import (
     log_sml,
     score_partition,
 )
-from smlbayes import search
+from smlbayes import DataError, load_csv, search
+from smlbayes.cli import _read_codes
 from smlbayes.data import RawColumn, RawTable
 from smlbayes.model_io import model_from_json_dict, model_to_json_dict
 from smlbayes.scoring import _lgamma, _log_sum_exp
@@ -184,6 +189,144 @@ def test_column_encoding_equals_per_cell_encoding(case):
     got = encoder.encode_predictor_rows(raw)
     assert got.dtype == np.int64 and got.shape == (len(numbers), 2)
     assert got.T.tolist() == want
+
+
+# cells of a numeric and of a text column; some texts need quoting (a comma,
+# a quote, a line break) or stripping
+_NUMBER_CELLS = ["1", "-2.5", "3e1", " 4 ", "0.5", "1_0"]
+_TEXT_CELLS = ["x", "y", " z", "x,y", 'say "hi"', "two\nlines", "1"]
+# cells that are a fault somewhere: empty, blank, not finite
+_FAULT_CELLS = ["", "  ", "nan", "inf", "-Infinity", "NaN"]
+
+
+def _rare(draw) -> bool:
+    # not an end of the range: Hypothesis draws those far more often
+    return draw(st.integers(0, 15)) == 7
+
+
+@st.composite
+def csv_cases(draw):
+    """CSV bytes with the names of its header and which of its columns are
+    numeric. The header may be missing or repeat a name, a row may be short
+    or long, and a cell empty or not finite; quoted cells span lines and the
+    text may start with a BOM."""
+    if _rare(draw):
+        return None, [], b""
+    header = draw(st.lists(st.sampled_from(["a", "b", "c", "d"]), unique=True, max_size=4))
+    if not _rare(draw):
+        header.insert(draw(st.integers(0, len(header))), "cls")
+    if header and _rare(draw):
+        header.append(" " + draw(st.sampled_from(header)))
+    numeric = [draw(st.booleans()) for _ in header]
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        n_fields = len(header) + (draw(st.sampled_from([-1, 1])) if _rare(draw) else 0)
+        rows.append([
+            draw(st.sampled_from(
+                _FAULT_CELLS if _rare(draw)
+                else _NUMBER_CELLS if j < len(header) and numeric[j] else _TEXT_CELLS
+            ))
+            for j in range(max(n_fields, 0))
+        ])
+    buf = io.StringIO()
+    writer = csv.writer(
+        buf,
+        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
+        lineterminator=draw(st.sampled_from(["\n", "\r\n"])),
+    )
+    writer.writerows([header] + rows)
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return [h.strip() for h in header], numeric, (bom + buf.getvalue()).encode("utf-8")
+
+
+def _outcome(fn, *args):
+    """fn's result, or the text of the `DataError` it raised."""
+    try:
+        return fn(*args)
+    except DataError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_cases())
+def test_load_csv_equals_the_old_reader(case):
+    _, _, source = case
+    got, want = _outcome(load_csv, source, "cls"), _outcome(oracles.load_csv, source, "cls")
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert [(c.name, c.kind, c.values) for c in got.predictors] == [
+        (c.name, c.kind, c.values) for c in want.predictors
+    ]
+    assert got.class_column == want.class_column
+
+
+@st.composite
+def predict_encoders(draw, header, numeric):
+    """An encoder over some of the header's columns, in any order, maybe with
+    a column the header lacks; mostly of each column's own kind, with cuts
+    or with levels the cells may or may not hold."""
+    kinds = dict(zip(header, numeric))
+    pool = sorted(set(header) - {"cls"}) + (["e"] if _rare(draw) else [])
+    names = draw(st.permutations(pool))[draw(st.integers(0, len(pool))):]
+    numeric_kind = [kinds.get(n, False) != _rare(draw) for n in names]
+    cuts = {
+        n: sorted(set(draw(st.lists(st.sampled_from([-1.0, 0.5, 2.0, 10.0]), max_size=2))))
+        for n, num in zip(names, numeric_kind) if num
+    }
+    categories = {
+        n: tuple(draw(st.lists(st.sampled_from(["x", "y", "z", "x,y", "1", "nan"]), max_size=4)))
+        for n, num in zip(names, numeric_kind) if not num
+    }
+    return DatasetEncoder(
+        tuple(names),
+        tuple("numeric" if num else "categorical" for num in numeric_kind),
+        DiscretizationSpec(cuts, 3),
+        categories,
+        "cls",
+        ("p", "q"),
+    )
+
+
+def _fault_line(message: str) -> int | None:
+    match = re.match(r"line (\d+): ", message)
+    return int(match[1]) if match else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_cases(), st.data())
+def test_predict_reader_equals_the_old_reader(case, data):
+    """Equal codes or equal error text, but for the two faults the old
+    predict reader let through: repeated header names, and empty cells
+    (which it read as an unseen level or reported as a missing number)."""
+    header, numeric, source = case
+    encoder = data.draw(predict_encoders(header or [], numeric))
+    got = _outcome(_read_codes, source, encoder)
+    want = _outcome(oracles.read_codes, source, encoder)
+    if not isinstance(got, str):
+        assert not isinstance(want, str), want
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        return
+    if got == "duplicate column names in header":
+        return
+    match = re.fullmatch(r"line (\d+): empty cell in column '(\w+)'", got)
+    if match is None:
+        assert got == want
+        return
+    # the first fault the new reader met is an empty cell; the old reader
+    # passed it (a categorical column) or failed on it or on a later cell
+    line, name = int(match[1]), match[2]
+    order = list(encoder.predictor_names)
+    if not isinstance(want, str):
+        assert encoder.kinds[order.index(name)] == "categorical"
+    elif want == f"line {line}: column {name!r} expected a number, got ''":
+        assert encoder.kinds[order.index(name)] == "numeric"
+    else:
+        old_line = _fault_line(want)
+        assert old_line is not None and old_line >= line
+        if old_line == line:
+            old_name = re.search(r"column '(\w+)'", want)[1]
+            assert order.index(old_name) > order.index(name)
 
 
 @settings(max_examples=100, deadline=None)

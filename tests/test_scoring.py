@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -16,6 +18,7 @@ from oracles import (
     sequential_log_prob,
 )
 from smlbayes import (
+    ConfigError,
     CountTable,
     Dataset,
     PriorSpec,
@@ -215,6 +218,23 @@ class TestLogSml:
         small = CountTable((0,), ((0,), (1,)), np.array([[2, 0], [1, 1]]), 4, 2, 2, math.log(2))
         huge = CountTable((0,), ((0,), (1,)), np.array([[2, 0], [1, 1]]), 4, 2, 2**500, 500 * math.log(2))
         assert log_sml(small, UNIFORM) == log_sml(huge, UNIFORM)
+
+
+    @pytest.mark.parametrize(
+        "prior,name",
+        [
+            (PriorSpec.uniform_cell(1e306), "uniform:1e+306"),
+            (PriorSpec.equivalent_sample_size(1e307), "bdeu:1e+307"),
+        ],
+    )
+    def test_non_finite_score_raises_naming_the_prior(self, prior, name):
+        # lgamma of the prior mass overflows to inf, and inf - inf is nan;
+        # the raise is the whole report: no RuntimeWarning on the way
+        table = build_count_table(_binary_data([[0], [1], [0], [1]], [0, 1, 0, 1]), (0,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=rf"^prior {re.escape(name)} gives a non-finite"):
+                log_sml(table, prior)
 
 
 class TestFamilyScore:
