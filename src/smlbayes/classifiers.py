@@ -5,7 +5,8 @@ Four kinds share a common ``predict(x) -> ClassDistribution`` surface:
 - ``DiagnosticClassifier``: class given one predictor subset, posterior
   predictive of its count table.
 - ``MixtureClassifier``: likelihood-weighted average of diagnostic models,
-  either all subsets of a fixed size or the blocks of a partition.
+  either all subsets of a fixed size or the blocks of a partition; it holds
+  their count tables and one prior, and derives the weights from them.
 - ``ANBClassifier``: naive Bayes whose attributes are partition blocks, each
   treated as one joint variable.
 - ``NBClassifier``: plain naive Bayes, which is ``ANBClassifier`` over the
@@ -169,20 +170,30 @@ class DiagnosticClassifier:
 
 @dataclass(eq=False)
 class MixtureClassifier:
-    """Weighted family of diagnostic models; weights live in log space."""
+    """Diagnostic models over `tables`, averaged with weights proportional to
+    their label likelihoods (SML scores) under `prior`.
 
-    components: tuple[DiagnosticClassifier, ...]
-    log_weights: np.ndarray
+    The weights are derived, not stored: `log_weights` holds the tables' log
+    SML scores normalized by log-sum-exp, computed once on construction.
+    """
+
+    tables: tuple[CountTable, ...]
+    prior: PriorSpec
 
     def __post_init__(self) -> None:
-        lw = np.asarray(self.log_weights, dtype=float)
-        if lw.shape != (len(self.components),):
-            raise ValueError("one log weight per component required")
-        if not len(self.components):
-            raise ValueError("mixture needs at least one component")
-        if abs(_log_sum_exp(lw.tolist())) > 1e-9:
-            raise ValueError("log weights must normalize to 1")
-        self.log_weights = lw
+        self.tables = tuple(self.tables)
+        if not self.tables:
+            raise ValueError("mixture needs at least one table")
+        if len({t.class_arity for t in self.tables}) != 1:
+            raise ValueError("mixture tables disagree on class arity")
+        scores = np.array([log_sml(t, self.prior) for t in self.tables])
+        self.log_weights = scores - _log_sum_exp(scores.tolist())
+        self.log_weights.flags.writeable = False
+
+    @property
+    def components(self) -> tuple[DiagnosticClassifier, ...]:
+        """One diagnostic model per table, for callers that inspect members."""
+        return tuple(DiagnosticClassifier(t, self.prior) for t in self.tables)
 
     def predict(self, x: Sequence[int]) -> ClassDistribution:
         """Average the component predictions in probability space."""
@@ -194,18 +205,7 @@ class MixtureClassifier:
     def _compiled(self) -> tuple[np.ndarray, _StackedRows]:
         weights = np.exp(self.log_weights)
         weights.flags.writeable = False
-        return weights, _StackedRows([_diag_block(c.table, c.prior) for c in self.components])
-
-
-def mixture_from_tables(tables: list[CountTable], prior: PriorSpec) -> MixtureClassifier:
-    """Mixture of one diagnostic component per table, weighted by label likelihood.
-
-    Weights are the tables' log SML scores normalized by log-sum-exp.
-    """
-    scores = np.array([log_sml(t, prior) for t in tables])
-    log_weights = scores - _log_sum_exp(scores.tolist())
-    components = tuple(DiagnosticClassifier(t, prior) for t in tables)
-    return MixtureClassifier(components, log_weights)
+        return weights, _StackedRows([_diag_block(t, self.prior) for t in self.tables])
 
 
 def build_omi(
@@ -231,7 +231,7 @@ def build_omi(
         build_count_table(train, subset)
         for subset in itertools.combinations(range(n), subset_size)
     ]
-    return mixture_from_tables(tables, prior)
+    return MixtureClassifier(tables, prior)
 
 
 def build_pm_mixture(
@@ -240,13 +240,13 @@ def build_pm_mixture(
     """Mixture with one diagnostic component per partition block."""
     part = validate_partition(partition, train.schema.n_predictors)
     tables = [build_count_table(train, block) for block in part]
-    return mixture_from_tables(tables, prior)
+    return MixtureClassifier(tables, prior)
 
 
 def _class_log_prior(class_counts: np.ndarray, prior: PriorSpec) -> np.ndarray:
     """Smoothed log class marginal."""
     r = len(class_counts)
-    a = prior.class_cell_prior(r)
+    a = prior.cell_prior(1, 0.0, r)[0]
     return np.log(class_counts + a) - math.log(float(class_counts.sum()) + r * a)
 
 

@@ -167,15 +167,12 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _search_config(args) -> SearchConfig:
-    try:
-        return SearchConfig(
-            restarts=args.restarts,
-            patience=args.patience,
-            max_block_size=args.max_block_size,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return SearchConfig(
+        restarts=args.restarts,
+        patience=args.patience,
+        max_block_size=args.max_block_size,
+        seed=args.seed,
+    )
 
 
 def _cmd_eval(args) -> int:
@@ -257,13 +254,10 @@ def _read_codes(path: str, encoder: DatasetEncoder) -> np.ndarray:
 
 def _cmd_predict(args) -> int:
     model, encoder = load_model(args.model)
-    try:
-        codes = _read_codes(args.input, encoder)
-    except OSError as exc:
-        raise DataError(f"cannot read {args.input}: {exc}") from exc
+    codes = _read_codes(args.input, encoder)
 
     if isinstance(model, MixtureClassifier):
-        r = model.components[0].table.class_arity
+        r = model.tables[0].class_arity
     elif isinstance(model, DiagnosticClassifier):
         r = model.table.class_arity
     else:

@@ -169,19 +169,15 @@ class RawTable:
 def read_text(source) -> Iterator[io.TextIOBase]:
     """Text stream over a path, bytes, or a text or binary stream.
 
-    A leading UTF-8 byte order mark is dropped. Bytes that are not UTF-8,
-    met here or while the caller reads, raise `DataError`. Only a file
-    opened here is closed here; a caller's binary stream is detached from,
-    not closed.
+    A leading UTF-8 byte order mark is dropped. A source that cannot be
+    opened or read, or bytes that are not UTF-8, met here or while the caller
+    reads, raise `DataError`. Only a file opened here is closed here; a
+    caller's binary stream is detached from, not closed.
     """
     name = source if isinstance(source, (str, Path)) else "input"
     try:
         if isinstance(source, (str, Path)):
-            try:
-                stream = open(source, "r", newline="", encoding="utf-8-sig")
-            except OSError as exc:
-                raise DataError(f"cannot read {source}: {exc}") from exc
-            with stream:
+            with open(source, "r", newline="", encoding="utf-8-sig") as stream:
                 yield stream
         elif isinstance(source, bytes):
             yield io.StringIO(source.decode("utf-8-sig"))
@@ -196,6 +192,14 @@ def read_text(source) -> Iterator[io.TextIOBase]:
                 stream.detach()
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot read {name}: not valid UTF-8 ({exc.reason})") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {name}: {exc}") from exc
+
+
+def _plain(text: str) -> bool:
+    """Whether `text` holds no character that `float` reads but a CSV number
+    does not have: a digit-group underscore ('1_0') or a non-ASCII digit."""
+    return text.isascii() and "_" not in text
 
 
 # a column shares one str per distinct cell text until it has seen this many
@@ -211,8 +215,9 @@ def read_columns(source, keep) -> tuple[list[str], list[list], int]:
     its caller cannot use, and returns ``(name, numeric)`` per column to
     keep, in the order a row's cells are checked. Each row must have one
     field per name and each kept cell, stripped, must be nonempty; numeric
-    columns hold finite floats, the others one shared str per text. The first
-    fault in file order raises `DataError` naming its line and column.
+    columns hold finite floats read from plain numbers (`_plain`), the others
+    one shared str per text. The first fault in file order raises `DataError`
+    naming its line and column.
     """
     with read_text(source) as stream:
         reader = csv.reader(stream)
@@ -236,10 +241,12 @@ def read_columns(source, keep) -> tuple[list[str], list[list], int]:
                 if not text:
                     raise DataError(f"line {line}: empty cell in column {name!r}")
                 if numeric:
-                    try:
-                        value = float(text)
-                    except ValueError:
-                        value = None
+                    value = None
+                    if _plain(text):
+                        try:
+                            value = float(text)
+                        except ValueError:
+                            pass
                     if value is None or not math.isfinite(value):
                         what = "a number" if value is None else "a finite number"
                         raise DataError(f"line {line}: column {name!r} expected {what}, got {text!r}")
@@ -257,10 +264,10 @@ def load_csv(source, class_column: str) -> RawTable:
     """Parse CSV bytes/path into a raw table, separating out the class column.
 
     The header row is mandatory. A column is numeric when every one of its
-    cells parses as a number with '.' as the decimal separator; otherwise it
-    is categorical. Rows with missing (empty) cells, and numeric columns
-    holding nan or infinite cells, are rejected outright so they cannot
-    silently skew counts downstream.
+    cells is a plain ASCII number with '.' as the decimal separator and no
+    digit-group underscores; otherwise it is categorical. Rows with missing
+    (empty) cells, and numeric columns holding nan or infinite cells, are
+    rejected outright so they cannot silently skew counts downstream.
     """
 
     def keep(header):
@@ -279,7 +286,7 @@ def load_csv(source, class_column: str) -> RawTable:
             values = list(map(float, cells))
         except ValueError:
             values = []
-        if not values:  # a cell that is not a number, or no rows at all
+        if not values or not _plain("".join(cells)):  # a cell that is not a number, or no rows
             predictors.append(RawColumn(name, CATEGORICAL, cells))
         elif all(map(math.isfinite, values)):
             predictors.append(RawColumn(name, NUMERIC, values))

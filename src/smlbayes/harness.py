@@ -168,9 +168,9 @@ class EvalReport:
         }
 
 
-def _evaluate(model, rows: np.ndarray, labels: np.ndarray) -> tuple[float, float, list]:
+def _evaluate(model, rows: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     preds = [model.predict(row) for row in rows]
-    return zero_one_loss(preds, labels.tolist()), log_loss(preds, labels.tolist()), preds
+    return zero_one_loss(preds, labels.tolist()), log_loss(preds, labels.tolist())
 
 
 def run_trials(
@@ -237,7 +237,7 @@ def run_trials(
                     result = search_cache[key] = pm_search(train, spec.prior, trial_cfg)
                 partitions[spec.name] = [list(b) for b in result.best_partition]
             model = train_model(spec, train, result)
-            zo, ll, _ = _evaluate(model, test_rows, test_labels)
+            zo, ll = _evaluate(model, test_rows, test_labels)
             metrics[spec.name] = {"zero_one_loss": zo, "log_loss": ll}
         trial_results.append(
             TrialResult(t, train.digest(), train.n_rows, len(test_idx), metrics, partitions)

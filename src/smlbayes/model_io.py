@@ -1,8 +1,8 @@
 """Model persistence: JSON files holding counts, never probabilities.
 
 Storing raw counts plus the prior spec lets a loaded model reproduce its
-predictions exactly; mixture weights are recomputed from the stored tables
-on load.
+predictions exactly; a mixture's weights follow from its stored tables
+and prior, so they are never stored.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .classifiers import (
     DiagnosticClassifier,
     MixtureClassifier,
     NBClassifier,
-    mixture_from_tables,
 )
 from .data import DatasetEncoder, Schema
 from .errors import DataError
@@ -29,22 +28,11 @@ FORMAT_VERSION = 1
 
 
 def model_to_json_dict(model, encoder: DatasetEncoder) -> dict:
-    """The model file dictionary; a mixture must share one prior across components
-    and carry the weights its tables derive, because the file stores one prior
-    and re-derives the weights from it."""
-    if isinstance(model, MixtureClassifier):
-        prior = model.components[0].prior
-        if any(c.prior != prior for c in model.components):
-            raise ValueError("cannot serialize a mixture whose components carry different priors")
-        derived = mixture_from_tables([c.table for c in model.components], prior).log_weights
-        if not np.array_equal(derived, model.log_weights):
-            raise ValueError("cannot serialize a mixture whose weights differ from its SML weights")
-    else:
-        prior = model.prior
+    """The model file dictionary."""
     base = {
         "format_version": FORMAT_VERSION,
         "encoder": encoder.to_json_dict(),
-        "prior": prior.to_json_dict(),
+        "prior": model.prior.to_json_dict(),
     }
     if isinstance(model, NBClassifier):
         base.update(
@@ -62,10 +50,7 @@ def model_to_json_dict(model, encoder: DatasetEncoder) -> dict:
             block_tables=[t.to_json_dict() for t in model.block_tables],
         )
     elif isinstance(model, MixtureClassifier):
-        base.update(
-            kind="mixture",
-            tables=[c.table.to_json_dict() for c in model.components],
-        )
+        base.update(kind="mixture", tables=[t.to_json_dict() for t in model.tables])
     elif isinstance(model, DiagnosticClassifier):
         base.update(kind="diagnostic", table=model.table.to_json_dict())
     else:
@@ -105,7 +90,7 @@ def model_from_json_dict(d: dict):
             tables = tuple(CountTable.from_json_dict(t) for t in d["block_tables"])
         model = cls(schema, partition, class_counts, tables, prior)
     elif kind == "mixture":
-        model = mixture_from_tables([CountTable.from_json_dict(t) for t in d["tables"]], prior)
+        model = MixtureClassifier([CountTable.from_json_dict(t) for t in d["tables"]], prior)
     elif kind == "diagnostic":
         model = DiagnosticClassifier(CountTable.from_json_dict(d["table"]), prior)
     else:

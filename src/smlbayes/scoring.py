@@ -102,12 +102,6 @@ class PriorSpec:
             return self.strength / (float(q) * class_arity), log_a
         return math.exp(log_a), log_a
 
-    def class_cell_prior(self, class_arity: int) -> float:
-        """Pseudo-count on each class cell of a marginal class table (q = 1)."""
-        if self.kind == UNIFORM_CELL:
-            return self.strength
-        return self.strength / class_arity
-
     def attribute_smoothing(
         self, q: int, log_q: float, class_arity: int
     ) -> tuple[float, float, float, float]:

@@ -196,7 +196,7 @@ def _naive_bayes(class_counts, prior: PriorSpec, factors) -> np.ndarray:
     """Softmax of the smoothed log class prior plus each (counts, q, log q)
     factor's log column, added one at a time."""
     r = len(class_counts)
-    a = prior.class_cell_prior(r)
+    a = prior.cell_prior(1, 0.0, r)[0]
     log_scores = np.log(class_counts + a) - math.log(float(class_counts.sum()) + r * a)
     for counts, q, log_q in factors:
         log_scores = log_scores + _cond_log_column(counts, class_counts, prior, q, log_q)

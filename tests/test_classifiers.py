@@ -97,15 +97,14 @@ class TestMixture:
         assert_allclose(model.predict([0]), model.components[0].predict([0]))
 
     def test_probability_space_average(self):
-        # hand-built components with known predictions and weights 3/4, 1/4
+        # one config with counts [3, 1] and one with [4, 0]: under uniform:1
+        # their SML is 1/20 and 1/5, so the weights are 0.2 and 0.8
         d1 = _data([[0], [0], [0], [0]], [0, 0, 0, 1], (2,))  # (3+1)/(4+2), (1+1)/(4+2)
-        d2 = _data([[0], [0], [0], [0]], [1, 1, 1, 0], (2,))
-        c1 = DiagnosticClassifier(build_count_table(d1, (0,)), UNIFORM)
-        c2 = DiagnosticClassifier(build_count_table(d2, (0,)), UNIFORM)
-        model = MixtureClassifier(
-            (c1, c2), np.array([math.log(0.75), math.log(0.25)])
-        )
-        expected = 0.75 * np.array([4 / 6, 2 / 6]) + 0.25 * np.array([2 / 6, 4 / 6])
+        d2 = _data([[0], [0], [0], [0]], [0, 0, 0, 0], (2,))  # (4+1)/(4+2), (0+1)/(4+2)
+        model = MixtureClassifier((build_count_table(d1, (0,)), build_count_table(d2, (0,))), UNIFORM)
+        assert_allclose(np.exp(model.log_weights), [0.2, 0.8], atol=1e-12)
+        expected = 0.2 * np.array([4 / 6, 2 / 6]) + 0.8 * np.array([5 / 6, 1 / 6])
+        assert_allclose(expected, [0.8, 0.2], atol=1e-12)
         assert_allclose(model.predict([0]), expected, atol=1e-12)
 
     def test_weights_normalize(self):
@@ -114,11 +113,21 @@ class TestMixture:
         for model in (build_omi(data, 2, UNIFORM), build_omi(data, 1, ESS2)):
             assert abs(float(logsumexp(model.log_weights))) <= 1e-12
 
-    def test_unnormalized_weights_rejected(self):
-        data = _data([[0]], [0], (2,))
-        c = DiagnosticClassifier(build_count_table(data, (0,)), UNIFORM)
-        with pytest.raises(ValueError):
-            MixtureClassifier((c, c), np.array([-0.1, -0.1]))
+    def test_tables_of_unequal_class_arity_rejected(self):
+        two = build_count_table(_data([[0]], [0], (2,)), (0,))
+        three = build_count_table(_data([[0]], [2], (2,), r=3), (0,))
+        with pytest.raises(ValueError, match="class arity"):
+            MixtureClassifier((two, three), UNIFORM)
+
+    def test_no_tables_rejected(self):
+        with pytest.raises(ValueError, match="at least one table"):
+            MixtureClassifier((), UNIFORM)
+
+    def test_log_weights_are_read_only(self):
+        rng = np.random.default_rng(20)
+        model = build_omi(random_dataset(rng, 20, (2, 2), 2), 1, UNIFORM)
+        with pytest.raises(ValueError, match="read-only"):
+            model.log_weights[0] = 0.0
 
     def test_omi_component_count(self):
         rng = np.random.default_rng(21)

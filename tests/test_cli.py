@@ -185,13 +185,13 @@ class TestSearch:
 
 
 class TestTrainPredict:
-    def _train(self, data_csv, tmp_path, classifier):
+    def _train(self, data_csv, tmp_path, classifier, class_col="label"):
         model_path = tmp_path / f"{classifier}.json"
         code = main(
             [
                 "train",
                 "--data", data_csv,
-                "--class-col", "label",
+                "--class-col", class_col,
                 "--classifier", classifier,
                 "--restarts", "2",
                 "--patience", "20",
@@ -318,6 +318,11 @@ class TestTrainPredict:
         err = self._predict_fails(data_csv, tmp_path, capsys, b"color,temp\nred,2\nblue,\n")
         assert err == "error: line 3: empty cell in column 'temp'\n"
 
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661\u0662"])
+    def test_number_with_underscore_or_non_ascii_digit_exits_2(self, data_csv, tmp_path, capsys, cell):
+        err = self._predict_fails(data_csv, tmp_path, capsys, f"temp,color\n2,red\n{cell},red\n".encode())
+        assert err == f"error: line 3: column 'temp' expected a number, got {cell!r}\n"
+
     def test_byte_order_mark_in_input(self, data_csv, tmp_path):
         model_path = self._train(data_csv, tmp_path, "nb")
         plain = self._predict(tmp_path, model_path, "temp,color\n2,red\n")
@@ -371,14 +376,26 @@ class TestTrainPredict:
         model_path.write_text(json.dumps(payload), encoding="utf-8")
         self._assert_malformed_model(tmp_path, model_path, capsys)
 
+    def test_mixture_tables_of_unequal_class_arity_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        rows = [f"{i},{'xy'[i % 2]},{'pq'[i % 2]}" for i in range(1, 9)]
+        data.write_text("\n".join(["a,b,cls", *rows]) + "\n", encoding="utf-8")
+        model_path = self._train(str(data), tmp_path, "om1", class_col="cls")
+        payload = json.loads(model_path.read_text(encoding="utf-8"))
+        table = payload["tables"][0]
+        table["class_arity"] = 3
+        table["counts"] = [row + [0] for row in table["counts"]]
+        model_path.write_text(json.dumps(payload), encoding="utf-8")
+        self._assert_malformed_model(tmp_path, model_path, capsys, "a,b\n2,x\n")
+
     def test_non_object_model_exits_2(self, tmp_path, capsys):
         model_path = tmp_path / "list.json"
         model_path.write_text("[]", encoding="utf-8")
         self._assert_malformed_model(tmp_path, model_path, capsys)
 
-    def _assert_malformed_model(self, tmp_path, model_path, capsys):
+    def _assert_malformed_model(self, tmp_path, model_path, capsys, rows="temp,color\n2,red\n"):
         input_path = tmp_path / "new.csv"
-        input_path.write_text("temp,color\n2,red\n", encoding="utf-8")
+        input_path.write_text(rows, encoding="utf-8")
         capsys.readouterr()
         code = main(
             ["predict", "--model", str(model_path), "--input", str(input_path), "--out", str(tmp_path / "p.csv")]

@@ -1,5 +1,6 @@
 """Loading, discretization, encoding, and split behavior."""
 
+import errno
 import gc
 import io
 import json
@@ -46,6 +47,13 @@ class TestLoadCsv:
     def test_non_finite_numeric_cell_rejected(self, cell):
         with pytest.raises(DataError, match=f"column 'a': non-finite number '{cell}'"):
             load_csv(_csv(f"a,b,cls\n1,x,yes\n{cell},y,no\n3,x,yes"), "cls")
+
+    @pytest.mark.parametrize("cells", [["1_0", "2_0", "3_0"], ["\u0661\u0662", "2", "3"], ["1_0", "nan", "3"]])
+    def test_underscores_and_non_ascii_digits_are_text(self, cells):
+        # float() reads '1_0' as 10.0 and Arabic-Indic digits as 12.0
+        rows = "\n".join(f"{c},{'pq'[i % 2]}" for i, c in enumerate(cells))
+        raw = load_csv(f"id,cls\n{rows}\n".encode(), "cls")
+        assert [(c.kind, c.values) for c in raw.predictors] == [("categorical", cells)]
 
     def test_non_finite_text_in_categorical_column_is_a_level(self):
         raw = load_csv(_csv("a,cls\nnan,yes\nred,no"), "cls")
@@ -100,6 +108,17 @@ class TestLoadCsv:
         assert load_csv(stream, "cls").n_rows == 2
         gc.collect()
         assert not stream.closed
+
+    def test_read_error_is_a_data_error(self):
+        class FailingRaw(io.RawIOBase):
+            def readable(self):
+                return True
+
+            def readinto(self, buffer):
+                raise OSError(errno.EIO, "Input/output error")
+
+        with pytest.raises(DataError, match=r"cannot read input: \[Errno 5\] Input/output error"):
+            load_csv(io.BufferedReader(FailingRaw()), "cls")
 
     def test_utf8_byte_order_mark_is_dropped(self, tmp_path):
         text = b"\xef\xbb\xbf" + _csv("cls,a\nyes,1\nno,2")

@@ -247,11 +247,30 @@ def _outcome(fn, *args):
         return str(exc)
 
 
+# The one rule the old readers lack: a number is plain ASCII without
+# digit-group underscores, where `float` also reads "1_0" as 10.0. The old
+# readers are held to the new rule by reading every "1_0" spelt as a text no
+# float parses, and their texts and messages spelt back.
+_SPELT = ("1_0", "1_0?")
+
+
+def _old_outcome(fn, source, *args):
+    out = _outcome(fn, source.replace(*map(str.encode, _SPELT)), *args)
+    if isinstance(out, str):
+        return out.replace(*reversed(_SPELT))
+    if isinstance(out, RawTable):
+        for column in [*out.predictors, out.class_column]:
+            column.values = [v.replace(*reversed(_SPELT)) if isinstance(v, str) else v for v in column.values]
+    return out
+
+
 @settings(max_examples=300, deadline=None)
 @given(csv_cases())
 def test_load_csv_equals_the_old_reader(case):
+    """Equal tables or equal error text, but for the one listed rule: a
+    column with a cell such as "1_0" holds texts (see `_SPELT`)."""
     _, _, source = case
-    got, want = _outcome(load_csv, source, "cls"), _outcome(oracles.load_csv, source, "cls")
+    got, want = _outcome(load_csv, source, "cls"), _old_outcome(oracles.load_csv, source, "cls")
     if isinstance(want, str):
         assert got == want
         return
@@ -298,11 +317,13 @@ def _fault_line(message: str) -> int | None:
 def test_predict_reader_equals_the_old_reader(case, data):
     """Equal codes or equal error text, but for the two faults the old
     predict reader let through: repeated header names, and empty cells
-    (which it read as an unseen level or reported as a missing number)."""
+    (which it read as an unseen level or reported as a missing number); and
+    for the one listed rule: "1_0" in a numeric column is not a number
+    (see `_SPELT`)."""
     header, numeric, source = case
     encoder = data.draw(predict_encoders(header or [], numeric))
     got = _outcome(_read_codes, source, encoder)
-    want = _outcome(oracles.read_codes, source, encoder)
+    want = _old_outcome(oracles.read_codes, source, encoder)
     if not isinstance(got, str):
         assert not isinstance(want, str), want
         assert got.dtype == want.dtype and np.array_equal(got, want)
