@@ -35,7 +35,6 @@ import numpy as np
 from .data import Dataset, Schema
 from .errors import ConfigError, DataError
 from .scoring import (
-    _KEY_LIMIT,
     CountTable,
     PriorSpec,
     _log_sum_exp,
@@ -51,29 +50,28 @@ ClassDistribution = np.ndarray
 _CELL_FLOOR = np.finfo(float).tiny
 
 
-# one lookup block: (subset, stored configurations, q, their rows, unseen row)
-_Block = tuple[tuple[int, ...], np.ndarray, int, np.ndarray, np.ndarray]
+# one lookup block: (subset, stored configurations, their rows, unseen row)
+_Block = tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]
 
 
 class _StackedRows:
     """Read-only rows of several lookup blocks, stacked in one table.
 
     A block is a predictor subset with its stored configurations (distinct,
-    in lexicographic order, as `CountTable` keeps them), the size q of its
-    configuration space, one row per stored configuration, and one more row
-    for every configuration it never stored. `gather(x)` returns a fresh
-    (n_blocks, row width) array holding, per block, the row of x's
-    configuration.
+    in lexicographic order, as `CountTable` keeps them), one row per stored
+    configuration, and one more row for every configuration it never
+    stored. `gather(x)` returns a fresh (n_blocks, row width) array holding,
+    per block, the row of x's configuration.
 
     Configurations are found by mixed-radix integer keys, first member most
     significant, so a block's keys sort like its configurations; each block's
     keys are offset past the previous block's, so all blocks share one sorted
-    key array below 2**62 and one `searchsorted`. A member's digit is its
-    value capped at one more than its largest stored value, so a larger
-    value (such as the unseen-level sentinel) or a negative one gives a key
-    no stored configuration has. A block whose configuration space reaches
-    2**62, or whose keys would carry the stacked key range past it, is
-    looked up by configuration tuple instead.
+    key array and one `searchsorted`. A member's digit is its value capped at
+    one more than its largest stored value, so a larger value (such as the
+    unseen-level sentinel) or a negative one gives a key no stored
+    configuration has. The keys are uint64 while the stacked key range stays
+    below 2**64 and Python ints in an object array past it: the same code,
+    only slower.
     """
 
     def __init__(self, blocks: Sequence[_Block]) -> None:
@@ -82,40 +80,27 @@ class _StackedRows:
         # a padding member reads x[0] (present whenever members > 0) with stride 0
         self._pos = np.zeros((n_blocks, members), dtype=np.intp)
         self._cap = np.zeros((n_blocks, members), dtype=np.uint64)
-        self._stride = np.zeros((n_blocks, members), dtype=np.uint64)
-        self._base = np.zeros(n_blocks, dtype=np.uint64)
-        keys, keyed, fallback = [], [], []
+        strides, bases = [[0] * members for _ in blocks], []
         top = 0
-        for c, (subset, configs, q, _, _) in enumerate(blocks):
+        for c, (subset, configs, _, _) in enumerate(blocks):
             caps = (configs.max(axis=0, initial=-1) + 1).tolist()
-            strides, span = [], 1
-            for cap in reversed(caps):
-                strides.insert(0, span)
-                span *= cap + 1
-            if q >= _KEY_LIMIT or top + span >= _KEY_LIMIT:
-                fallback.append(c)
-                continue
-            k = len(subset)
-            self._pos[c, :k] = subset
-            self._cap[c, :k] = caps
-            self._stride[c, :k] = strides
-            self._base[c] = top
-            keys.append(configs.astype(np.uint64) @ self._stride[c, :k] + np.uint64(top))
-            keyed.append(c)
+            span = 1
+            for j in reversed(range(len(caps))):
+                strides[c][j] = span
+                span *= caps[j] + 1
+            self._pos[c, :len(subset)] = subset
+            self._cap[c, :len(caps)] = caps
+            bases.append(top)
             top += span
+        dtype = np.uint64 if top < 2**64 else object
+        self._stride = np.array(strides, dtype=dtype).reshape(n_blocks, members)
+        self._base = np.array(bases, dtype=dtype)
+        keys = [b[1].astype(dtype) @ s[:len(b[0])] + base
+                for b, s, base in zip(blocks, self._stride, self._base)]
         # the sentinel lies above every key, so a search never runs off the end
-        self._keys = np.concatenate([*keys, np.full(1, np.iinfo(np.uint64).max, np.uint64)])
-        # fallback blocks' rows follow the keyed ones; the unseen rows come last
-        first = len(self._keys) - 1
-        self._fallback = []
-        for c in fallback:
-            subset, configs = blocks[c][:2]
-            index = {config: i for i, config in enumerate(map(tuple, configs.tolist()))}
-            self._fallback.append((c, subset, index, first))
-            first += len(configs)
-        self._unseen = np.arange(first, first + n_blocks)
-        rows = [blocks[c][3] for c in keyed + fallback]
-        self.table = np.concatenate([*rows, np.stack([b[4] for b in blocks])])
+        self._keys = np.concatenate([*keys, np.array([top], dtype=dtype)])
+        self._unseen = np.arange(len(self._keys) - 1, len(self._keys) - 1 + n_blocks)
+        self.table = np.concatenate([*(b[2] for b in blocks), np.stack([b[3] for b in blocks])])
         for a in (self._pos, self._cap, self._stride, self._base, self._keys, self._unseen, self.table):
             a.flags.writeable = False
 
@@ -126,9 +111,6 @@ class _StackedRows:
         key += self._base
         found = np.searchsorted(self._keys, key)
         idx = np.where(self._keys[found] == key, found, self._unseen)
-        for c, subset, index, first in self._fallback:
-            i = index.get(tuple(int(x[j]) for j in subset))
-            idx[c] = self._unseen[c] if i is None else first + i
         return self.table[idx]
 
 
@@ -145,7 +127,7 @@ def _diag_block(table: CountTable, prior: PriorSpec) -> _Block:
     numer = table.counts + a_cell
     unseen = np.full(r, a_cell)
     rows = numer / numer.sum(axis=1, keepdims=True)
-    return table.subset, table.config_array, table.q, rows, unseen / unseen.sum()
+    return table.subset, table.config_array, rows, unseen / unseen.sum()
 
 
 @dataclass(eq=False)
@@ -314,14 +296,14 @@ class ANBClassifier:
         # so a gather returns it first and then one factor per block
         r = len(self.class_counts)
         log_prior = _class_log_prior(self.class_counts, self.prior)
-        blocks = [((), np.zeros((1, 0), dtype=np.int64), 1, log_prior[None], log_prior)]
+        blocks = [((), np.zeros((1, 0), dtype=np.int64), log_prior[None], log_prior)]
         for t in self.block_tables:
             cell, _, mass, log_mass = self.prior.attribute_smoothing(t.q, t.log_q, r)
             rows, unseen = (
                 _cond_log_column(c, self.class_counts, cell, mass, log_mass)
                 for c in (t.counts, np.zeros(r, dtype=np.int64))
             )
-            blocks.append((t.subset, t.config_array, t.q, rows, unseen))
+            blocks.append((t.subset, t.config_array, rows, unseen))
         return _StackedRows(blocks)
 
 

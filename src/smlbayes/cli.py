@@ -5,8 +5,9 @@ rules: unique header names, one field per name in every row, no empty cell,
 and finite numbers in numeric columns.
 
 Exit codes: 0 on success, 2 for input problems (unreadable or malformed
-data), 3 for configuration problems (bad flags or classifier specs, a
-partition search over no predictors, a prior whose scores are not finite).
+data, or a model file whose tables disagree with its own encoder), 3 for
+configuration problems (bad flags or classifier specs, a partition search
+over no predictors, a prior whose scores are not finite).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import sys
 
 import numpy as np
 
-from .classifiers import DiagnosticClassifier, MixtureClassifier
 from .data import NUMERIC, DatasetEncoder, fit_discretization, load_csv, read_columns
 from .errors import ConfigError, DataError
 from .harness import ANB, PM, run_trials, spec_from_token, train_model
@@ -255,13 +255,8 @@ def _read_codes(path: str, encoder: DatasetEncoder) -> np.ndarray:
 def _cmd_predict(args) -> int:
     model, encoder = load_model(args.model)
     codes = _read_codes(args.input, encoder)
-
-    if isinstance(model, MixtureClassifier):
-        r = model.tables[0].class_arity
-    elif isinstance(model, DiagnosticClassifier):
-        r = model.table.class_arity
-    else:
-        r = model.schema.class_arity
+    # the loader has checked that every table has the schema's class arity
+    r = encoder.schema().class_arity
     # class columns can outnumber the observed class values when the schema
     # was floored to binary; pad names by index in that case
     value_names = list(encoder.class_values)

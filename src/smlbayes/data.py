@@ -125,7 +125,8 @@ class Dataset:
         return int(self.labels.shape[0])
 
     def take(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(self.schema, self.rows[indices], self.labels[indices])
+        # gathered straight into column-major order, so nothing copies it again
+        return Dataset(self.schema, self.rows.T.take(indices, axis=1).T, self.labels[indices])
 
     def digest(self) -> str:
         """Stable content hash over schema, rows, and labels."""

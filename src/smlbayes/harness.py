@@ -217,7 +217,8 @@ def run_trials(
                 raw_train, fit_discretization(raw_train, bins), class_values
             )
             schema, rows = encoder.schema(), encoder.encode_predictor_rows(raw)
-        train = Dataset(schema, rows[train_idx], data.labels[train_idx])
+        # gathered column-major, as `Dataset.take` does, so it is copied once
+        train = Dataset(schema, rows.T.take(train_idx, axis=1).T, data.labels[train_idx])
         test_rows, test_labels = rows[test_idx], data.labels[test_idx]
 
         metrics: dict[str, dict[str, float]] = {}

@@ -21,7 +21,7 @@ from .classifiers import (
 )
 from .data import DatasetEncoder, Schema
 from .errors import DataError
-from .scoring import CountTable, PriorSpec
+from .scoring import CountTable, PriorSpec, check_subset
 from .search import singleton_partition, validate_partition
 
 FORMAT_VERSION = 1
@@ -72,15 +72,36 @@ def _singleton_table(i: int, dense: list, class_arity: int) -> CountTable:
     )
 
 
+def _checked(tables, schema: Schema):
+    """`tables`, each checked against `schema`: subset, configurations (strictly
+    increasing, each value within its arity), q, log q and class arity."""
+    for t in tables:
+        name = f"table over {list(t.subset)}"
+        arities = [schema.predictor_arities[i] for i in check_subset(t.subset, schema.n_predictors)]
+        configs = t.config_array
+        if configs.size and (configs.min() < 0 or (configs >= arities).any()):
+            raise ValueError(f"{name} stores a value outside its predictor's arity")
+        rows = configs.tolist()
+        if any(a >= b for a, b in zip(rows, rows[1:])):
+            raise ValueError(f"{name} stores configurations out of order or twice")
+        if t.q != math.prod(arities) or t.log_q != float(sum(math.log(a) for a in arities)):
+            raise ValueError(f"{name} gives q or log q other than its configuration space's")
+        if t.class_arity != schema.class_arity:
+            raise ValueError(f"{name} has {t.class_arity} classes, not {schema.class_arity}")
+    return tables
+
+
 def model_from_json_dict(d: dict):
     """Rebuild (model, encoder) from a model file dictionary."""
     if d.get("format_version") != FORMAT_VERSION:
         raise DataError(f"unsupported model format version {d.get('format_version')!r}")
     encoder = DatasetEncoder.from_json_dict(d["encoder"])
+    schema = encoder.schema()
     prior = PriorSpec.from_json_dict(d["prior"])
     kind = d["kind"]
     if kind in ("nb", "anb"):
-        schema = Schema.from_json_dict(d["schema"])
+        if Schema.from_json_dict(d["schema"]) != schema:
+            raise ValueError("model schema disagrees with its encoder")
         class_counts = np.array(d["class_counts"], dtype=np.int64)
         if kind == "nb":
             cls, partition = NBClassifier, singleton_partition(schema.n_predictors)
@@ -88,11 +109,11 @@ def model_from_json_dict(d: dict):
         else:
             cls, partition = ANBClassifier, validate_partition(d["partition"], schema.n_predictors)
             tables = tuple(CountTable.from_json_dict(t) for t in d["block_tables"])
-        model = cls(schema, partition, class_counts, tables, prior)
+        model = cls(schema, partition, class_counts, _checked(tables, schema), prior)
     elif kind == "mixture":
-        model = MixtureClassifier([CountTable.from_json_dict(t) for t in d["tables"]], prior)
+        model = MixtureClassifier(_checked([CountTable.from_json_dict(t) for t in d["tables"]], schema), prior)
     elif kind == "diagnostic":
-        model = DiagnosticClassifier(CountTable.from_json_dict(d["table"]), prior)
+        model = DiagnosticClassifier(*_checked([CountTable.from_json_dict(d["table"])], schema), prior)
     else:
         raise DataError(f"unknown model kind {kind!r}")
     return model, encoder
@@ -112,7 +133,8 @@ def load_model(path: str | Path):
         raise DataError(f"cannot read model file {path}: not valid UTF-8 ({exc.reason})") from None
     try:
         return model_from_json_dict(json.loads(text))
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError, OverflowError) as exc:
         # fields of the wrong type (null, a list for an object) surface as
-        # TypeError or AttributeError somewhere inside the rebuild
+        # TypeError or AttributeError somewhere inside the rebuild, and an
+        # integer past int64 as OverflowError
         raise DataError(f"malformed model file {path}: {exc}") from exc

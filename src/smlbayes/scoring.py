@@ -149,9 +149,9 @@ class CountTable:
     order: ``config_array`` is an (n_configs, len(subset)) int64 array whose
     rows line up with the rows of ``counts``, and ``config_totals`` holds
     each stored configuration's number of rows. The constructor takes
-    ``configs`` as such an array or as a sequence of int tuples. A table that
-    `build_count_table` tallied by integer key keeps only the sorted keys and
-    decodes ``config_array`` from them on its first read. ``q`` is the exact
+    ``configs`` as such an array or as a sequence of int tuples. A table from
+    `build_count_table` keeps only its sorted integer keys and decodes
+    ``config_array`` from them on its first read. ``q`` is the exact
     size of the full configuration space (a Python int, so it never wraps)
     and ``log_q`` its log for use when q dwarfs float range. The empty subset
     has the single configuration () and q = 1.
@@ -219,10 +219,12 @@ class CountTable:
 
     @cached_property
     def config_array(self) -> np.ndarray:
-        # reached only by tables built from keys; the constructor sets it
-        config_array = np.zeros((len(self._keys), 0), dtype=np.int64)
-        if self._arities:
-            config_array = np.stack(np.unravel_index(self._keys, self._arities), axis=1)
+        # only tables built from keys get here; `%` and `//` take object keys too
+        keys = self._keys
+        config_array = np.zeros((len(keys), len(self._arities)), dtype=np.int64)
+        for j in reversed(range(len(self._arities))):
+            config_array[:, j] = keys % self._arities[j]
+            keys = keys // self._arities[j]
         config_array.flags.writeable = False
         return config_array
 
@@ -274,8 +276,8 @@ def build_count_table(data: Dataset, subset: Sequence[int]) -> CountTable:
     rows by class. Runs of equal keys are the nonzero cells and their
     counts; a change of key // r starts the next configuration. The table
     keeps the configuration keys and decodes them to `config_array` only if
-    that is read. Spaces too large for an int64 key are sorted as rows
-    instead, which gives the same order.
+    that is read. The keys are int64 below `_KEY_LIMIT` and Python ints in
+    an object array above it: the same code, only slower.
     """
     sub = check_subset(subset, data.schema.n_predictors)
     arities = [data.schema.predictor_arities[i] for i in sub]
@@ -286,29 +288,25 @@ def build_count_table(data: Dataset, subset: Sequence[int]) -> CountTable:
     r = data.schema.class_arity
     n = data.n_rows
 
-    if q * r < _KEY_LIMIT:
-        key = np.zeros(n, dtype=np.int64)
-        for i, a in zip(sub, arities):
-            key *= a
-            key += data.rows[:, i]
-        key *= r
-        key += data.labels
-        key.sort()
-        # each run of equal keys is one nonzero cell
-        bounds = _run_edges(key).nonzero()[0]
-        cell_counts = bounds[1:] - bounds[:-1]
-        cell_configs, labels = np.divmod(key[bounds[:-1]], r)
-        first = _run_edges(cell_configs)[:-1]
-        config_keys = cell_configs[first]
-        rows = first.cumsum() - 1
-        counts = np.zeros(len(config_keys) * r, dtype=np.int64)
-        counts[rows * r + labels] = cell_counts
-        return CountTable._from_keys(sub, arities, config_keys, counts, n, r, q, log_q)
-
-    configs, inverse = np.unique(data.rows[:, sub], axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)  # numpy 2.0.0 shapes it (n, 1) under axis=0
-    counts = np.bincount(inverse * r + data.labels, minlength=len(configs) * r)
-    return CountTable(sub, configs, counts, n, r, q, log_q)
+    key = np.zeros(n, dtype=np.int64 if q * r < _KEY_LIMIT else object)
+    for i, a in zip(sub, arities):
+        key *= a
+        key += data.rows[:, i]
+    key *= r
+    key += data.labels
+    key.sort()
+    # each run of equal keys is one nonzero cell
+    bounds = _run_edges(key).nonzero()[0]
+    cell_counts = bounds[1:] - bounds[:-1]
+    cell_keys = key[bounds[:-1]]
+    # np.divmod has no object loop
+    cell_configs, labels = cell_keys // r, (cell_keys % r).astype(np.int64, copy=False)
+    first = _run_edges(cell_configs)[:-1]
+    config_keys = cell_configs[first]
+    rows = first.cumsum() - 1
+    counts = np.zeros(len(config_keys) * r, dtype=np.int64)
+    counts[rows * r + labels] = cell_counts
+    return CountTable._from_keys(sub, arities, config_keys, counts, n, r, q, log_q)
 
 
 # lgamma past ~2.55e305 is inf, and inf - inf is nan: raised, not warned about

@@ -376,15 +376,60 @@ class TestTrainPredict:
         model_path.write_text(json.dumps(payload), encoding="utf-8")
         self._assert_malformed_model(tmp_path, model_path, capsys)
 
-    def test_mixture_tables_of_unequal_class_arity_exit_2(self, tmp_path, capsys):
+    def _train_ab(self, tmp_path, classifier):
+        """A model trained on an 8-row CSV `a,b,cls`, and its file's payload."""
         data = tmp_path / "d.csv"
         rows = [f"{i},{'xy'[i % 2]},{'pq'[i % 2]}" for i in range(1, 9)]
         data.write_text("\n".join(["a,b,cls", *rows]) + "\n", encoding="utf-8")
-        model_path = self._train(str(data), tmp_path, "om1", class_col="cls")
-        payload = json.loads(model_path.read_text(encoding="utf-8"))
+        model_path = self._train(str(data), tmp_path, classifier, class_col="cls")
+        return model_path, json.loads(model_path.read_text(encoding="utf-8"))
+
+    def test_mixture_tables_of_unequal_class_arity_exit_2(self, tmp_path, capsys):
+        model_path, payload = self._train_ab(tmp_path, "om1")
         table = payload["tables"][0]
         table["class_arity"] = 3
         table["counts"] = [row + [0] for row in table["counts"]]
+        model_path.write_text(json.dumps(payload), encoding="utf-8")
+        self._assert_malformed_model(tmp_path, model_path, capsys, "a,b\n2,x\n")
+
+    @pytest.mark.parametrize(
+        "classifier,fault",
+        [
+            ("om1", "reversed configs"),
+            ("om1", "repeated config"),
+            ("om1", "negative config"),
+            ("om1", "config past arity"),
+            ("om1", "subset [5]"),
+            ("om1", "q"),
+            ("om1", "log q"),
+            ("anb", "reversed configs"),
+            ("anb", "q"),
+            ("nb", "schema"),
+            ("anb", "schema"),
+        ],
+    )
+    def test_table_disagreeing_with_the_encoder_exits_2(self, tmp_path, capsys, classifier, fault):
+        # every edit keeps the counts of each table summing to its rows
+        model_path, payload = self._train_ab(tmp_path, classifier)
+        tables = payload.get("tables") or payload.get("block_tables")
+        table = tables[0]
+        if fault == "reversed configs":
+            table["configs"].reverse()
+            table["counts"].reverse()
+        elif fault == "repeated config":
+            table["configs"][1] = table["configs"][0]
+        elif fault == "negative config":
+            table["configs"][0] = [-1]
+        elif fault == "config past arity":
+            table["configs"][-1] = [9]
+        elif fault == "subset [5]":
+            table["subset"] = [5]
+        elif fault == "q":
+            table["q"] += 1
+        elif fault == "log q":
+            table["log_q"] += 0.5
+        else:
+            payload["schema"]["predictor_arities"][1] += 1
         model_path.write_text(json.dumps(payload), encoding="utf-8")
         self._assert_malformed_model(tmp_path, model_path, capsys, "a,b\n2,x\n")
 

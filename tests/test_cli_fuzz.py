@@ -5,11 +5,13 @@ Arguments are drawn for all four subcommands over small generated CSVs and
 over model files that `train` wrote. Each draw picks at most two faults (a
 flag with a bad value or left out, a broken CSV, an unknown command or
 flag) and gives every other flag a good value or leaves an optional one
-out, so each fault is reached alone as well as with another.
+out, so each fault is reached alone as well as with another. Model files
+with one integer edited are predicted from as well: they end in exit 0 or 2.
 """
 
 import contextlib
 import io
+import json
 import re
 import tempfile
 from pathlib import Path
@@ -176,3 +178,46 @@ def test_fuzzed_command_lines_exit_cleanly(models, scratch, data):
             if path.is_file() and path.name not in files:
                 match = _NON_FINITE.search(path.read_text(encoding="utf-8"))
                 assert match is None, (argv, path.name, match)
+
+
+def _integer_paths(node, path=()):
+    """The path of every integer in a JSON value (booleans excluded)."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _integer_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _integer_paths(value, path + (i,))
+    elif isinstance(node, int) and not isinstance(node, bool):
+        yield path
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_model_file_with_one_edited_integer_exits_0_or_2(models, scratch, data):
+    kind = data.draw(st.sampled_from(sorted(models)))
+    payload = json.loads(models[kind].read_text(encoding="utf-8"))
+    *keys, last = data.draw(st.sampled_from(list(_integer_paths(payload))))
+    node = payload
+    for key in keys:
+        node = node[key]
+    old = node[last]
+    node[last] = data.draw(st.sampled_from([old - 1, old + 1, -old, 0, -1, 2 * old + 7, 2**63, 2**64 + 1]))
+    event(f"{kind} {'.'.join(k for k in [*keys, last] if isinstance(k, str))}")
+    with tempfile.TemporaryDirectory(dir=scratch) as tmp:
+        workdir = Path(tmp)
+        (workdir / "model.json").write_text(json.dumps(payload), encoding="utf-8")
+        (workdir / "input.csv").write_text(
+            data.draw(csv_texts(["a", "b"], {"a": True, "b": False}, False)), encoding="utf-8")
+        out = workdir / "out.csv"
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["predict", "--model", str(workdir / "model.json"),
+                         "--input", str(workdir / "input.csv"), "--out", str(out)])
+        err = stderr.getvalue()
+        assert code in (0, 2), (keys, last, node[last], err)
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert not out.exists()
+        else:
+            assert _NON_FINITE.search(out.read_text(encoding="utf-8")) is None

@@ -12,7 +12,7 @@ from unittest import mock
 
 import mpmath as mp
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -92,17 +92,17 @@ def test_count_table_matches_dict_oracle(case):
 @settings(max_examples=40, deadline=None)
 @given(data_and_subset(arities=st.just([3] * 45), min_subset=40))
 def test_count_table_beyond_int64_keys_matches_dict_oracle(case):
-    # 3**40 > 2**62: configurations are sorted as rows, not as integer keys
+    # 3**40 > 2**62: the keys are Python ints in an object array
     table = _assert_matches_dict_oracle(*case)
-    assert table.q > 2**62
+    assert table.q > 2**62 and table._keys.dtype == object
 
 
 @settings(max_examples=100, deadline=None)
 @given(data_and_subset(arities=st.just([2] * 60 + [3]), min_subset=59))
 def test_count_table_at_the_key_limit_matches_dict_oracle(case):
     # q from 2**59 to 3 * 2**60 configurations times 2-4 classes: the
-    # (configuration, class) key stays below 2**62 on one side of the limit,
-    # and on the other, where it could pass 2**63, the rows are sorted instead
+    # (configuration, class) key is int64 below 2**62 on one side of the
+    # limit, and on the other, where it could pass 2**63, a Python int
     table = _assert_matches_dict_oracle(*case)
     assert table.q < 2**62
 
@@ -463,19 +463,70 @@ def test_no_predictors_gives_the_class_prior():
 @settings(max_examples=40, deadline=None)
 @given(data_and_subset(arities=st.just([3] * 45), min_subset=40), st.data())
 def test_configuration_space_beyond_int64_keys_is_looked_up_by_tuple(case, draw):
-    # 3**40 > 2**62: the block is found through its configuration tuples
+    # a first row of 2s caps every digit of the subset's block at 3, so its
+    # keys span 4**40 > 2**64 and every key is a Python int
     data, subset = case
+    data = Dataset(data.schema, np.vstack([np.full((1, 45), 2), data.rows]), np.append(0, data.labels))
     prior = draw.draw(st.sampled_from([PriorSpec.uniform_cell(1.0), PriorSpec.equivalent_sample_size(1.0)]))
     rest = [i for i in range(45) if i not in subset]
     partition = [list(subset)] + ([rest] if rest else [])
-    models = [DiagnosticClassifier(build_count_table(data, subset), prior)]
-    if data.n_rows:
-        models += [build_anb(partition, data, prior), build_pm_mixture(partition, data, prior)]
+    models = [
+        DiagnosticClassifier(build_count_table(data, subset), prior),
+        build_anb(partition, data, prior),
+        build_pm_mixture(partition, data, prior),
+    ]
     queries = [list(row) for row in data.rows.tolist()[:3]]
     queries += draw.draw(st.lists(st.lists(st.integers(-1, 3), min_size=45, max_size=45), max_size=3))
     for model in models:
         rows = model._compiled[1] if isinstance(model, MixtureClassifier) else model._compiled
-        assert rows._fallback
+        assert rows._keys.dtype == object
+        _assert_predicts_like_oracle(model, queries)
+
+
+@st.composite
+def keys_near_two_to_the_64(draw):
+    """A dataset whose first `m` binary predictors form one big block, next to
+    two small ternary predictors. Only the first `seen` big-block members
+    ever take the value 1, so that block's keys span 2**(m - seen) * 3**seen:
+    below 2**64, exactly 2**64, or above it."""
+    m, seen = draw(st.sampled_from([(63, 0), (63, 1), (62, 1), (60, 2), (64, 0), (62, 2), (60, 3), (66, 2)]))
+    r = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 12))
+    big = [[1] * seen] + [draw(st.lists(st.integers(0, 1), min_size=seen, max_size=seen)) for _ in range(n - 1)]
+    small = [draw(st.lists(st.integers(0, 2), min_size=2, max_size=2)) for _ in range(n)]
+    rows = [b + [0] * (m - seen) + s for b, s in zip(big, small)]
+    labels = draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n))
+    schema = Schema(tuple(f"x{i}" for i in range(m + 2)), (2,) * m + (3, 3), "y", r)
+    data = Dataset(schema, np.array(rows, dtype=np.int64), np.array(labels, dtype=np.int64))
+    queries = rows[:2] + draw(st.lists(
+        st.tuples(*[st.integers(-1, 2)] * m, st.integers(-1, 3), st.integers(-1, 3)).map(list),
+        min_size=1, max_size=3))
+    return data, queries
+
+
+def _key_span(tables) -> int:
+    # a block's digits run up to one past its largest stored values
+    return sum(math.prod((t.config_array.max(axis=0, initial=-1) + 2).tolist()) for t in tables)
+
+
+@settings(max_examples=60, deadline=None)
+@given(keys_near_two_to_the_64(), st.sampled_from([PriorSpec.uniform_cell(1.0), PriorSpec.equivalent_sample_size(1.0)]))
+def test_compiled_predict_equals_per_row_oracle_on_both_sides_of_uint64_keys(case, prior):
+    # one big block carries the stacked key range of the whole model past
+    # 2**64 or not; the small blocks are looked up through the same keys
+    data, queries = case
+    m = data.schema.n_predictors - 2
+    partition = [list(range(m)), [m], [m + 1]]
+    diag = DiagnosticClassifier(build_count_table(data, range(m)), prior)
+    anb = build_anb(partition, data, prior)
+    pm = build_pm_mixture(partition, data, prior)
+    # anb stacks its class prior first, as one more block with one key
+    for model, top in [(diag, _key_span([diag.table])), (anb, 1 + _key_span(anb.block_tables)),
+                       (pm, _key_span(pm.tables))]:
+        rows = model._compiled[1] if isinstance(model, MixtureClassifier) else model._compiled
+        event("object keys" if top >= 2**64 else "uint64 keys")
+        assert rows._keys.dtype == (object if top >= 2**64 else np.uint64)
+        assert rows._keys[-1] == top
         _assert_predicts_like_oracle(model, queries)
 
 
