@@ -198,7 +198,7 @@ class CountTable:
     def _set_counts(
         self, counts, n_configs: int, n_rows: int, class_arity: int, q: int, log_q: float
     ) -> None:
-        counts = np.ascontiguousarray(np.asarray(counts, dtype=np.int64))
+        counts = np.ascontiguousarray(counts, dtype=np.int64)
         counts = counts.reshape(n_configs, class_arity)
         # the row sums; einsum beats sum(axis=1) over a short class axis
         totals = np.einsum("ij->i", counts)
@@ -206,7 +206,7 @@ class CountTable:
             raise ValueError("counts must be nonnegative")
         if int(totals.sum()) != n_rows:
             raise ValueError("counts must sum to the number of rows")
-        if not (totals > 0).all():
+        if n_configs and totals.min() <= 0:
             raise ValueError("stored configurations must have positive count")
         counts.flags.writeable = False
         totals.flags.writeable = False
@@ -309,8 +309,10 @@ def build_count_table(data: Dataset, subset: Sequence[int]) -> CountTable:
     return CountTable._from_keys(sub, arities, config_keys, counts, n, r, q, log_q)
 
 
-# lgamma past ~2.55e305 is inf, and inf - inf is nan: raised, not warned about
-@np.errstate(invalid="ignore")
+def _non_finite(prior: PriorSpec, score: float) -> ConfigError:
+    return ConfigError(f"prior {prior.describe()} gives a non-finite score ({score})")
+
+
 def log_sml(table: CountTable, prior: PriorSpec) -> float:
     """Log probability of the label sequence given the predictor rows.
 
@@ -329,7 +331,9 @@ def log_sml(table: CountTable, prior: PriorSpec) -> float:
     bit for bit.
 
     A score that is not finite raises `ConfigError` naming the prior: a
-    strength so large that lgamma of the prior mass overflows.
+    strength so large that lgamma of the prior mass overflows. Past ~2.55e305
+    lgamma is inf, every ratio is then inf / inf and the score nan; that is
+    caught before any array sees it, so no floating-point warning fires.
     """
     if table.n_rows == 0:
         return 0.0
@@ -339,15 +343,20 @@ def log_sml(table: CountTable, prior: PriorSpec) -> float:
     n_j = table.config_totals
     if a_cell >= _TINY:
         a_row = a_cell * r
+        lg_row, lg_cell = _lgamma_or_inf(a_row), _lgamma_or_inf(a_cell)
+        if lg_row == math.inf:
+            raise _non_finite(prior, math.nan)
         top = int(n_j.max())
         if top < counts.size:
-            steps = np.arange(top + 1)
-            row_lut, cell_lut = _lgamma(a_row + steps), _lgamma(a_cell + steps)
-            row_part = row_lut[0] - row_lut[n_j]
-            cell_part = cell_lut[counts] - cell_lut[0]
+            # the terms for each possible count, as plain floats; an int added
+            # to a float is the same addition as in an array
+            steps = range(top + 1)
+            row_lut = np.array([lg_row - _lgamma_or_inf(a_row + k) for k in steps])
+            cell_lut = np.array([_lgamma_or_inf(a_cell + k) - lg_cell for k in steps])
+            row_part, cell_part = row_lut[n_j], cell_lut[counts]
         else:
-            row_part = _lgamma(a_row) - _lgamma(a_row + n_j)
-            cell_part = _lgamma(counts + a_cell) - _lgamma(a_cell)
+            row_part = lg_row - _lgamma(a_row + n_j)
+            cell_part = _lgamma(counts + a_cell) - lg_cell
     else:
         # prior mass underflowed to 0 or to a subnormal, whose few significant
         # bits would skew the score: gamma(a)/gamma(a + N) -> -log a - lgamma(N)
@@ -355,9 +364,9 @@ def log_sml(table: CountTable, prior: PriorSpec) -> float:
         row_part = -log_a_row - _lgamma(n_j)
         pos = counts > 0
         cell_part = np.where(pos, _lgamma(np.maximum(counts, 1)) + log_a_cell, 0.0)
-    score = float(row_part.sum() + cell_part.sum())
+    score = float(row_part.sum()) + float(cell_part.sum())
     if not math.isfinite(score):
-        raise ConfigError(f"prior {prior.describe()} gives a non-finite score ({score})")
+        raise _non_finite(prior, score)
     return score
 
 
