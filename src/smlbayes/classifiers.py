@@ -138,11 +138,7 @@ class DiagnosticClassifier:
     prior: PriorSpec
 
     def predict(self, x: Sequence[int]) -> ClassDistribution:
-        """(count + prior cell) / (config total + prior row mass) at x's configuration.
-
-        A configuration never seen in training falls back to the prior
-        predictive, which is uniform for these symmetric priors.
-        """
+        """The predictive row of x's configuration (see `_diag_block`)."""
         return self._compiled.gather(x)[0]
 
     @cached_property
@@ -191,10 +187,7 @@ class MixtureClassifier:
 
 
 def build_omi(
-    train: Dataset,
-    subset_size: int,
-    prior: PriorSpec,
-    enumeration_cap: int = 200_000,
+    train: Dataset, subset_size: int, prior: PriorSpec, enumeration_cap: int = 200_000
 ) -> MixtureClassifier:
     """Mixture over every predictor subset of exactly `subset_size`.
 
@@ -206,13 +199,8 @@ def build_omi(
         raise ConfigError(f"subset size {subset_size} outside 1..{n}")
     n_subsets = math.comb(n, subset_size)
     if n_subsets > enumeration_cap:
-        raise ConfigError(
-            f"{n_subsets} subsets of size {subset_size} exceed the cap of {enumeration_cap}"
-        )
-    tables = [
-        build_count_table(train, subset)
-        for subset in itertools.combinations(range(n), subset_size)
-    ]
+        raise ConfigError(f"{n_subsets} subsets of size {subset_size} exceed the cap of {enumeration_cap}")
+    tables = [build_count_table(train, s) for s in itertools.combinations(range(n), subset_size)]
     return MixtureClassifier(tables, prior)
 
 
@@ -233,11 +221,7 @@ def _class_log_prior(class_counts: np.ndarray, prior: PriorSpec) -> np.ndarray:
 
 
 def _cond_log_column(
-    value_counts: np.ndarray,
-    class_counts: np.ndarray,
-    cell: float,
-    mass: float,
-    log_mass: float,
+    value_counts: np.ndarray, class_counts: np.ndarray, cell: float, mass: float, log_mass: float
 ) -> np.ndarray:
     """Per-class log of (count + cell) / (class count + prior mass).
 
@@ -340,7 +324,5 @@ def build_nb(train: Dataset, prior: PriorSpec) -> NBClassifier:
     return _tally_blocks(NBClassifier, singleton_partition(train.schema.n_predictors), train, prior)
 
 
-def build_anb(
-    partition: Sequence[Sequence[int]], train: Dataset, prior: PriorSpec
-) -> ANBClassifier:
+def build_anb(partition: Sequence[Sequence[int]], train: Dataset, prior: PriorSpec) -> ANBClassifier:
     return _tally_blocks(ANBClassifier, partition, train, prior)

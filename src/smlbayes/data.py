@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import math
+import operator
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -82,10 +83,15 @@ class Schema:
     def from_json_dict(cls, d: dict) -> "Schema":
         return cls(
             tuple(d["predictor_names"]),
-            tuple(int(a) for a in d["predictor_arities"]),
+            tuple(map(operator.index, d["predictor_arities"])),
             d["class_name"],
-            int(d["class_arity"]),
+            operator.index(d["class_arity"]),
         )
+
+
+def take_rows(rows: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """rows[indices], gathered straight into the column-major order `Dataset` keeps."""
+    return rows.T.take(indices, axis=1).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,8 +131,7 @@ class Dataset:
         return int(self.labels.shape[0])
 
     def take(self, indices: np.ndarray) -> "Dataset":
-        # gathered straight into column-major order, so nothing copies it again
-        return Dataset(self.schema, self.rows.T.take(indices, axis=1).T, self.labels[indices])
+        return Dataset(self.schema, take_rows(self.rows, indices), self.labels[indices])
 
     def digest(self) -> str:
         """Stable content hash over schema, rows, and labels."""

@@ -28,6 +28,7 @@ from .data import (
     derive_seed,
     fit_discretization,
     split_indices,
+    take_rows,
 )
 from .errors import ConfigError, DataError
 from .scoring import PriorSpec
@@ -217,8 +218,7 @@ def run_trials(
                 raw_train, fit_discretization(raw_train, bins), class_values
             )
             schema, rows = encoder.schema(), encoder.encode_predictor_rows(raw)
-        # gathered column-major, as `Dataset.take` does, so it is copied once
-        train = Dataset(schema, rows.T.take(train_idx, axis=1).T, data.labels[train_idx])
+        train = Dataset(schema, take_rows(rows, train_idx), data.labels[train_idx])
         test_rows, test_labels = rows[test_idx], data.labels[test_idx]
 
         metrics: dict[str, dict[str, float]] = {}

@@ -21,7 +21,7 @@ from .classifiers import (
 )
 from .data import DatasetEncoder, Schema
 from .errors import DataError
-from .scoring import CountTable, PriorSpec, check_subset
+from .scoring import CountTable, PriorSpec, check_subset, int_array
 from .search import singleton_partition, validate_partition
 
 FORMAT_VERSION = 1
@@ -61,7 +61,7 @@ def model_to_json_dict(model, encoder: DatasetEncoder) -> dict:
 def _singleton_table(i: int, dense: list, class_arity: int) -> CountTable:
     """The count table of predictor i from its dense (value x class) counts,
     keeping the values that occur."""
-    dense = np.array(dense, dtype=np.int64)
+    dense = int_array(dense)
     if dense.ndim != 2:
         raise ValueError(f"table {i} must be a (value x class) matrix")
     seen = dense.any(axis=1)
@@ -102,7 +102,7 @@ def model_from_json_dict(d: dict):
     if kind in ("nb", "anb"):
         if Schema.from_json_dict(d["schema"]) != schema:
             raise ValueError("model schema disagrees with its encoder")
-        class_counts = np.array(d["class_counts"], dtype=np.int64)
+        class_counts = int_array(d["class_counts"])
         if kind == "nb":
             cls, partition = NBClassifier, singleton_partition(schema.n_predictors)
             tables = tuple(_singleton_table(i, t, schema.class_arity) for i, t in enumerate(d["tables"]))

@@ -11,6 +11,7 @@ here works in natural-log space.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -134,7 +135,7 @@ class PriorSpec:
 
 def check_subset(subset: Sequence[int], n_predictors: int) -> tuple[int, ...]:
     """Validate a relevant-predictor subset: sorted, distinct, in range."""
-    out = tuple(int(i) for i in subset)
+    out = tuple(map(operator.index, subset))
     if any(b <= a for a, b in zip(out, out[1:])):
         raise ValueError("subset indices must be sorted and distinct")
     if out and (out[0] < 0 or out[-1] >= n_predictors):
@@ -241,16 +242,24 @@ class CountTable:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CountTable":
-        configs = tuple(tuple(int(v) for v in c) for c in d["configs"])
+        configs = int_array(d["configs"])
         return cls(
-            tuple(int(i) for i in d["subset"]),
+            tuple(map(operator.index, d["subset"])),
             configs,
-            np.array(d["counts"], dtype=np.int64).reshape(len(configs), -1),
-            int(d["n_rows"]),
-            int(d["class_arity"]),
-            int(d["q"]),
+            int_array(d["counts"]).reshape(len(configs), -1),
+            operator.index(d["n_rows"]),
+            operator.index(d["class_arity"]),
+            operator.index(d["q"]),
             float(d["log_q"]),
         )
+
+
+def int_array(values) -> np.ndarray:
+    """Model-file integers as an int64 array; a float is a TypeError, never truncated."""
+    a = np.asarray(values)
+    if a.size and a.dtype.kind != "i":
+        raise TypeError(f"expected integers, not {a.dtype} values")
+    return a.astype(np.int64)
 
 
 # mixed-radix keys below this bound cannot overflow int64
@@ -281,9 +290,7 @@ def build_count_table(data: Dataset, subset: Sequence[int]) -> CountTable:
     """
     sub = check_subset(subset, data.schema.n_predictors)
     arities = [data.schema.predictor_arities[i] for i in sub]
-    q = 1
-    for a in arities:
-        q *= a
+    q = math.prod(arities)
     log_q = float(sum(math.log(a) for a in arities))
     r = data.schema.class_arity
     n = data.n_rows
@@ -309,10 +316,6 @@ def build_count_table(data: Dataset, subset: Sequence[int]) -> CountTable:
     return CountTable._from_keys(sub, arities, config_keys, counts, n, r, q, log_q)
 
 
-def _non_finite(prior: PriorSpec, score: float) -> ConfigError:
-    return ConfigError(f"prior {prior.describe()} gives a non-finite score ({score})")
-
-
 def log_sml(table: CountTable, prior: PriorSpec) -> float:
     """Log probability of the label sequence given the predictor rows.
 
@@ -331,9 +334,8 @@ def log_sml(table: CountTable, prior: PriorSpec) -> float:
     bit for bit.
 
     A score that is not finite raises `ConfigError` naming the prior: a
-    strength so large that lgamma of the prior mass overflows. Past ~2.55e305
-    lgamma is inf, every ratio is then inf / inf and the score nan; that is
-    caught before any array sees it, so no floating-point warning fires.
+    strength so large that lgamma of the prior mass is inf (mass past ~2.55e305),
+    which is caught before any array sees it, so no floating-point warning fires.
     """
     if table.n_rows == 0:
         return 0.0
@@ -345,11 +347,10 @@ def log_sml(table: CountTable, prior: PriorSpec) -> float:
         a_row = a_cell * r
         lg_row, lg_cell = _lgamma_or_inf(a_row), _lgamma_or_inf(a_cell)
         if lg_row == math.inf:
-            raise _non_finite(prior, math.nan)
+            raise ConfigError(f"prior {prior.describe()} gives a non-finite score (nan)")
         top = int(n_j.max())
         if top < counts.size:
-            # the terms for each possible count, as plain floats; an int added
-            # to a float is the same addition as in an array
+            # each possible count's term, as plain floats: the same additions as in an array
             steps = range(top + 1)
             row_lut = np.array([lg_row - _lgamma_or_inf(a_row + k) for k in steps])
             cell_lut = np.array([_lgamma_or_inf(a_cell + k) - lg_cell for k in steps])
@@ -366,7 +367,7 @@ def log_sml(table: CountTable, prior: PriorSpec) -> float:
         cell_part = np.where(pos, _lgamma(np.maximum(counts, 1)) + log_a_cell, 0.0)
     score = float(row_part.sum()) + float(cell_part.sum())
     if not math.isfinite(score):
-        raise _non_finite(prior, score)
+        raise ConfigError(f"prior {prior.describe()} gives a non-finite score ({score})")
     return score
 
 

@@ -402,6 +402,12 @@ class TestTrainPredict:
             ("om1", "subset [5]"),
             ("om1", "q"),
             ("om1", "log q"),
+            ("om1", "float subset"),
+            ("om1", "float config"),
+            ("om1", "float count"),
+            ("om1", "float q"),
+            ("nb", "float count"),
+            ("anb", "float class count"),
             ("anb", "reversed configs"),
             ("anb", "q"),
             ("nb", "schema"),
@@ -409,7 +415,8 @@ class TestTrainPredict:
         ],
     )
     def test_table_disagreeing_with_the_encoder_exits_2(self, tmp_path, capsys, classifier, fault):
-        # every edit keeps the counts of each table summing to its rows
+        # every edit keeps the counts of each table summing to its rows, once
+        # a float is truncated as `int()` would
         model_path, payload = self._train_ab(tmp_path, classifier)
         tables = payload.get("tables") or payload.get("block_tables")
         table = tables[0]
@@ -428,6 +435,16 @@ class TestTrainPredict:
             table["q"] += 1
         elif fault == "log q":
             table["log_q"] += 0.5
+        elif fault == "float subset":
+            table["subset"] = [table["subset"][0] + 0.5]
+        elif fault == "float config":
+            table["configs"][0] = [table["configs"][0][0] + 0.9]
+        elif fault == "float count":
+            (table if classifier == "nb" else table["counts"])[0][0] += 0.5
+        elif fault == "float q":
+            table["q"] += 0.5
+        elif fault == "float class count":
+            payload["class_counts"][0] += 0.5
         else:
             payload["schema"]["predictor_arities"][1] += 1
         model_path.write_text(json.dumps(payload), encoding="utf-8")

@@ -202,7 +202,7 @@ def test_model_file_with_one_edited_integer_exits_0_or_2(models, scratch, data):
     for key in keys:
         node = node[key]
     old = node[last]
-    node[last] = data.draw(st.sampled_from([old - 1, old + 1, -old, 0, -1, 2 * old + 7, 2**63, 2**64 + 1]))
+    node[last] = data.draw(st.sampled_from([old - 1, old + 1, -old, 0, -1, 2 * old + 7, 2**63, 2**64 + 1, old + 0.5]))
     event(f"{kind} {'.'.join(k for k in [*keys, last] if isinstance(k, str))}")
     with tempfile.TemporaryDirectory(dir=scratch) as tmp:
         workdir = Path(tmp)

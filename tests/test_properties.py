@@ -463,23 +463,23 @@ def test_no_predictors_gives_the_class_prior():
 @settings(max_examples=40, deadline=None)
 @given(data_and_subset(arities=st.just([3] * 45), min_subset=40), st.data())
 def test_configuration_space_beyond_int64_keys_is_looked_up_by_tuple(case, draw):
-    # a first row of 2s caps every digit of the subset's block at 3, so its
-    # keys span 4**40 > 2**64 and every key is a Python int
+    # 3**40 > 2**62: a block's digits are capped by its stored values, so its
+    # keys are Python ints once those carry the stacked span past 2**64
     data, subset = case
-    data = Dataset(data.schema, np.vstack([np.full((1, 45), 2), data.rows]), np.append(0, data.labels))
     prior = draw.draw(st.sampled_from([PriorSpec.uniform_cell(1.0), PriorSpec.equivalent_sample_size(1.0)]))
     rest = [i for i in range(45) if i not in subset]
     partition = [list(subset)] + ([rest] if rest else [])
-    models = [
-        DiagnosticClassifier(build_count_table(data, subset), prior),
-        build_anb(partition, data, prior),
-        build_pm_mixture(partition, data, prior),
-    ]
+    diag = DiagnosticClassifier(build_count_table(data, subset), prior)
+    models = [(diag, _key_span([diag.table]))]
+    if data.n_rows:
+        anb, pm = build_anb(partition, data, prior), build_pm_mixture(partition, data, prior)
+        models += [(anb, 1 + _key_span(anb.block_tables)), (pm, _key_span(pm.tables))]
     queries = [list(row) for row in data.rows.tolist()[:3]]
     queries += draw.draw(st.lists(st.lists(st.integers(-1, 3), min_size=45, max_size=45), max_size=3))
-    for model in models:
+    for model, top in models:
         rows = model._compiled[1] if isinstance(model, MixtureClassifier) else model._compiled
-        assert rows._keys.dtype == object
+        event("object keys" if top >= 2**64 else "uint64 keys")
+        assert rows._keys.dtype == (object if top >= 2**64 else np.uint64)
         _assert_predicts_like_oracle(model, queries)
 
 
