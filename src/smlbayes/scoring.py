@@ -316,6 +316,25 @@ def build_count_table(data: Dataset, subset: Sequence[int]) -> CountTable:
     return CountTable._from_keys(sub, arities, config_keys, counts, n, r, q, log_q)
 
 
+# a prior cell mass above this many times every configuration total dwarfs the
+# counts: log_sml then sums logs instead of subtracting lgammas; strengths up
+# to it keep the bits of the lgamma form
+_DWARFS = 64
+
+
+def _rising_log(a: float, top: int) -> np.ndarray:
+    """log(a (a + 1) ... (a + k - 1)) = lgamma(a + k) - lgamma(a) for k = 0..top.
+
+    Summed as k log(a) + sum_{i<k} log1p(i / a), which stays accurate where a
+    dwarfs k, while the lgamma difference cancels: at a = 1e16 each lgamma
+    is ~3.6e17, whose unit in the last place is 64.
+    """
+    k = np.arange(top + 1)
+    steps = np.zeros(top + 1)
+    np.cumsum(np.log1p(k[:-1] / a), out=steps[1:])
+    return k * math.log(a) + steps
+
+
 def log_sml(table: CountTable, prior: PriorSpec) -> float:
     """Log probability of the label sequence given the predictor rows.
 
@@ -327,7 +346,9 @@ def log_sml(table: CountTable, prior: PriorSpec) -> float:
     rows contribute exactly 0, so only stored configurations are visited; the
     empty table gives 0 (an empty product).
 
-    When every configuration total is below the number of cells, each
+    Where the cell mass a is over `_DWARFS` times every configuration total,
+    each lgamma difference is summed as a rising log (`_rising_log`) instead.
+    Otherwise, when every configuration total is below the number of cells, each
     lgamma is evaluated once per possible count, into a lookup table, and
     gathered. Each term is still the lgamma of the same float, summed over
     arrays of the same shape, so the result equals the direct evaluation
@@ -349,7 +370,10 @@ def log_sml(table: CountTable, prior: PriorSpec) -> float:
         if lg_row == math.inf:
             raise ConfigError(f"prior {prior.describe()} gives a non-finite score (nan)")
         top = int(n_j.max())
-        if top < counts.size:
+        if a_cell > _DWARFS * top:
+            # lgamma(a + k) - lgamma(a) would cancel nearly every digit
+            row_part, cell_part = -_rising_log(a_row, top)[n_j], _rising_log(a_cell, top)[counts]
+        elif top < counts.size:
             # each possible count's term, as plain floats: the same additions as in an array
             steps = range(top + 1)
             row_lut = np.array([lg_row - _lgamma_or_inf(a_row + k) for k in steps])

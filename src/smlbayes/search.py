@@ -219,9 +219,82 @@ def _move_table(partition: Partition, max_block_size: int | None) -> tuple[_Move
     return kinds
 
 
+class BoundedDraws:
+    """Draws `integers(n)` from a bit generator's raw stream, each equal to
+    what `np.random.Generator(bit_generator).integers(n)` would draw.
+
+    NumPy keeps each bit generator's stream stable across releases (NEP 19),
+    but not the algorithm `Generator.integers` runs over it, so the search
+    runs that algorithm itself. It is Lemire's multiply-shift with rejection
+    (default int64 dtype, unmasked): n = 1 draws nothing; for n < 2**32, a
+    32-bit half u of the stream gives (u * n) >> 32 unless the low 32 bits of
+    u * n fall below (2**32 - n) % n, which draws again; n = 2**32 is u
+    itself. The halves of each 64-bit raw value come low first, and a high
+    half left over is kept for the next 32-bit draw. For n > 2**32 the same
+    rule runs over a whole 64-bit value, which leaves a kept half in place.
+    """
+
+    _BLOCK = 64  # raw values fetched per call to `random_raw`
+
+    def __init__(self, bit_generator: np.random.BitGenerator):
+        self._raw = bit_generator.random_raw
+        self._halves = iter(())  # an optional kept high half, then whole values as (low, high)
+
+    def integers(self, n: int) -> int:
+        """One draw from range(n), for a Python int n (its products must not wrap)."""
+        if 1 < n < 2**32:
+            # the common case, inlined: one half, one multiply, one mask
+            try:
+                m = next(self._halves) * n
+            except StopIteration:
+                m = self._half() * n
+            if m & (2**32 - 1) < n:
+                threshold = (2**32 - n) % n
+                while m & (2**32 - 1) < threshold:
+                    m = self._half() * n
+            return m >> 32
+        if n == 1:
+            return 0
+        if n == 2**32:
+            return self._half()
+        if not 1 <= n <= 2**63:
+            raise ValueError(f"bound {n} outside 1..2**63")
+        m = self._whole() * n
+        if m & (2**64 - 1) < n:
+            threshold = (2**64 - n) % n
+            while m & (2**64 - 1) < threshold:
+                m = self._whole() * n
+        return m >> 64
+
+    def _refill(self) -> list[int]:
+        raw = self._raw(self._BLOCK)
+        return np.stack((raw & (2**32 - 1), raw >> 32), axis=1).ravel().tolist()
+
+    def _half(self) -> int:
+        try:
+            return next(self._halves)
+        except StopIteration:
+            self._halves = iter(self._refill())
+            return next(self._halves)
+
+    def _whole(self) -> int:
+        rest = list(self._halves)
+        kept, pairs = rest[: len(rest) % 2], rest[len(rest) % 2 :]
+        if not pairs:
+            pairs = self._refill()
+        self._halves = iter(kept + pairs[2:])
+        return pairs[0] | pairs[1] << 32
+
+
+# the last tuple partition proposed from, its cap and its move table: a hill
+# climb proposes from one partition object until it accepts, so most calls
+# neither rebuild nor hash the table's key
+_last_table: list = [((), None, ())]
+
+
 def propose_move(
     partition: Sequence[Sequence[int]],
-    rng: np.random.Generator,
+    rng: np.random.Generator | BoundedDraws,
     max_block_size: int | None = None,
 ) -> Partition:
     """Draw one neighboring partition: relocate, split off, or merge.
@@ -231,25 +304,31 @@ def propose_move(
     so the result is always a valid partition different from the input.
     Operands are enumerated in the given block order.
     """
-    part = tuple(map(tuple, partition))
-    kinds = _move_table(part, max_block_size)
-    apply, operands, candidates = kinds[int(rng.integers(len(kinds)))]
-    i = int(rng.integers(len(operands)))
+    last = _last_table[0]
+    if partition is last[0] and max_block_size == last[1]:
+        kinds = last[2]
+    else:
+        part = tuple(map(tuple, partition))
+        kinds = _move_table(part, max_block_size)
+        if part == partition:  # a tuple of tuples cannot change: keep it by identity
+            _last_table[0] = (partition, max_block_size, kinds)
+    apply, operands, candidates = kinds[rng.integers(len(kinds))]
+    i = rng.integers(len(operands))
     candidate = candidates[i]
     if candidate is None:
-        blocks = [list(b) for b in part]
+        blocks = [list(b) for b in partition]
         apply(blocks, operands[i])
         candidate = candidates[i] = canonical_partition(b for b in blocks if b)
     return candidate
 
 
-def _initial_partition(n: int, mode: str, rng: np.random.Generator) -> Partition:
+def _initial_partition(n: int, mode: str, rng: BoundedDraws) -> Partition:
     if mode == "singletons":
         return singleton_partition(n)
-    groups = rng.integers(n, size=n)
+    # one draw at a time, as Generator.integers(n, size=n) draws them
     blocks: dict[int, list[int]] = {}
-    for var, g in enumerate(groups.tolist()):
-        blocks.setdefault(g, []).append(var)
+    for var in range(n):
+        blocks.setdefault(rng.integers(n), []).append(var)
     return canonical_partition(blocks.values())
 
 
@@ -270,7 +349,7 @@ def pm_search(train: Dataset, prior: PriorSpec, config: SearchConfig) -> SearchR
     traces: list[RestartTrace] = []
     total_proposals = 0
     for ridx in range(config.restarts):
-        rng = np.random.default_rng(derive_seed(config.seed, _RESTART_STREAM, ridx))
+        rng = BoundedDraws(np.random.PCG64(derive_seed(config.seed, _RESTART_STREAM, ridx)))
         part = _initial_partition(n, config.init_mode, rng)
         score = scorer.score(part)
         initial = score.log_value

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -533,6 +534,19 @@ class TestFlagChecks:
         err = capsys.readouterr().err
         assert err == "error: prior uniform:1e+306 gives a non-finite score (nan)\n"
         assert not out.exists()
+
+    def test_huge_prior_scores_a_log_probability(self, tmp_path):
+        # the CI runtime-only CSV: at uniform:1e16 every one of the 8 labels has
+        # probability 1/2 under every partition (the score was +128)
+        data = tmp_path / "data.csv"
+        rows = [f"{i},{'yx'[i % 2]},{'qp'[i % 2]}" for i in range(1, 9)]
+        data.write_text("\n".join(["a,b,cls", *rows]) + "\n", encoding="utf-8")
+        out = tmp_path / "partition.json"
+        argv = ["search", "--data", str(data), "--class-col", "cls", "--restarts", "2",
+                "--prior", "uniform:1e16", "--out", str(out)]
+        assert main(argv) == 0
+        best = json.loads(out.read_text(encoding="utf-8"))["best_score"]["log_value"]
+        assert float(best) == pytest.approx(-8 * math.log(2), rel=1e-12)
 
     @pytest.mark.parametrize("command", ["eval", "search", "train", "predict"])
     def test_unwritable_out_exits_2(self, data_csv, tmp_path, capsys, command):

@@ -1,5 +1,6 @@
 """Fuzzed command lines: every run ends in exit 0, 2 or 3, a failure says so
-in one line, and no file a command writes holds a non-finite number.
+in one line, and no file a command writes holds a non-finite number or a
+log score above 0.
 
 Arguments are drawn for all four subcommands over small generated CSVs and
 over model files that `train` wrote. Each draw picks at most two faults (a
@@ -30,7 +31,9 @@ _NUMBERS = ["1", "2.5", "-3", "4e1", "0", " 7 "]
 _TEXTS = ["x", "y", "z", " w ", "1_0"]
 _CLASSES = ["p", "q", "r"]
 
-_GOOD_PRIORS = ["uniform:1", "uniform", "bdeu:2", "uniform:0.5", "bdeu:1e-3", "bdeu:40"]
+_GOOD_PRIORS = [
+    "uniform:1", "uniform", "bdeu:2", "uniform:0.5", "bdeu:1e-3", "bdeu:40", "uniform:1e16", "uniform:1e300",
+]
 _BAD_PRIORS = [
     "uniform:0", "bdeu:-1", "uniform:nan", "bdeu:inf", "uniform:1e-320",
     "uniform:1e306", "jeffreys", "uniform:x",
@@ -79,6 +82,23 @@ def _flag_table(workdir: Path, models: dict) -> dict:
             out,
         ],
     }
+
+
+# the keys under which a report holds log scores, each one a log-probability
+_SCORE_KEYS = {"log_value", "member_log_scores", "initial_score", "final_score"}
+
+
+def _scores(node):
+    """Every score in a JSON value, as a float."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key in _SCORE_KEYS:
+                yield from map(float, value if isinstance(value, list) else [value])
+            else:
+                yield from _scores(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _scores(value)
 
 
 def _values(values):
@@ -176,8 +196,12 @@ def test_fuzzed_command_lines_exit_cleanly(models, scratch, data):
             assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
         for path in workdir.rglob("*"):
             if path.is_file() and path.name not in files:
-                match = _NON_FINITE.search(path.read_text(encoding="utf-8"))
+                text = path.read_text(encoding="utf-8")
+                match = _NON_FINITE.search(text)
                 assert match is None, (argv, path.name, match)
+                if text.startswith("{"):
+                    scores = list(_scores(json.loads(text)))
+                    assert all(v <= 0.0 for v in scores), (argv, path.name, scores)
 
 
 def _integer_paths(node, path=()):

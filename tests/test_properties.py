@@ -12,6 +12,7 @@ from unittest import mock
 
 import mpmath as mp
 import numpy as np
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -681,3 +682,108 @@ def test_log_sum_exp_matches_mpmath(values):
     with mp.workdps(60):
         want = mp.log(mp.fsum(mp.exp(mp.mpf(v)) for v in values))
         _assert_near_mpmath(_log_sum_exp(values), want, 1e-12)
+
+
+# bounds for the stream: no draw at 1, small ones, ones near 2**31 (where
+# about half the 32-bit draws are rejected), the 32-bit edge, and whole
+# 64-bit draws above it, up to int64's own limit
+_BOUNDS = st.one_of(
+    st.just(1),
+    st.integers(2, 100),
+    st.integers(2**31 - 64, 2**31 + 64),
+    st.sampled_from([2**32 - 1, 2**32, 2**32 + 1, 2**63]),
+    st.integers(2**32 + 2, 2**63 - 1),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.sampled_from([None, 3, 4, 5, 16, 17]), st.lists(_BOUNDS, max_size=80))
+def test_bounded_draws_equal_generator_integers(seed, n_init, bounds):
+    draws = search.BoundedDraws(np.random.PCG64(seed))
+    rng = np.random.default_rng(seed)
+    if n_init is not None:
+        # random initialisation: n draws at once from the Generator, one at a
+        # time from the stream, which keeps a leftover high half for later
+        assert [draws.integers(n_init) for _ in range(n_init)] == rng.integers(n_init, size=n_init).tolist()
+    got = [draws.integers(n) for n in bounds]
+    assert got == [int(rng.integers(n)) for n in bounds]
+    assert all(type(g) is int for g in got)
+
+
+@pytest.mark.parametrize("init_mode", ["singletons", "random"])
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(1, 3), min_size=1, max_size=6),
+    st.integers(2, 3),
+    st.integers(1, 40),
+    st.data(),
+)
+def test_search_reports_equal_a_generator_run(init_mode, seed, arities, r, n_rows, draw):
+    data = random_dataset(np.random.default_rng(seed), n_rows, tuple(arities), r)
+    prior = draw.draw(st.sampled_from([PriorSpec.uniform_cell(1.0), PriorSpec.equivalent_sample_size(2.0)]))
+    config = search.SearchConfig(
+        restarts=draw.draw(st.integers(1, 3)),
+        patience=draw.draw(st.integers(1, 30)),
+        max_block_size=draw.draw(st.none() | st.integers(1, len(arities))),
+        seed=seed,
+        init_mode=init_mode,
+    )
+    result = search.pm_search(data, prior, config)
+    with mock.patch.object(search, "BoundedDraws", np.random.default_rng):
+        want = search.pm_search(data, prior, config)
+    assert result.to_json_dict() == want.to_json_dict()
+
+
+@st.composite
+def small_count_tables(draw, q_extra=st.integers(0, 10**6)):
+    """A table of 1-5 configurations with 2-4 classes and counts up to 12."""
+    r = draw(st.integers(2, 4))
+    counts = np.array(
+        draw(st.lists(st.lists(st.integers(0, 12), min_size=r, max_size=r), min_size=1, max_size=5)),
+        dtype=np.int64,
+    )
+    counts[:, 0] += counts.sum(axis=1) == 0
+    n_configs = len(counts)
+    q = n_configs + draw(q_extra)
+    return CountTable((0,), [(i,) for i in range(n_configs)], counts, int(counts.sum()), r, q, math.log(q))
+
+
+def _mp_rising_log(a, k):
+    """log(a (a + 1) ... (a + k - 1)) = loggamma(a + k) - loggamma(a), with no cancellation."""
+    return mp.fsum(mp.log(a + i) for i in range(k))
+
+
+@settings(max_examples=300, deadline=None)
+# the second range holds the switch to summed logs and the strengths where
+# the log1p terms still count
+@given(small_count_tables(), st.floats(-300.0, 300.0) | st.floats(0.0, 16.0))
+def test_log_sml_matches_mpmath_at_any_uniform_strength(table, exponent):
+    strength = 10.0**exponent
+    got = log_sml(table, PriorSpec.uniform_cell(strength))
+    with mp.workdps(50):
+        a = mp.mpf(strength)
+        want = mp.fsum(
+            _mp_rising_log(a, c) for row in table.counts.tolist() for c in row
+        ) - mp.fsum(_mp_rising_log(a * table.class_arity, n) for n in table.config_totals.tolist())
+    _assert_near_mpmath(got, want, 1e-11)
+
+
+_ANY_PRIOR = st.builds(
+    lambda kind, exponent: kind(10.0**exponent),
+    st.sampled_from([PriorSpec.uniform_cell, PriorSpec.equivalent_sample_size]),
+    st.floats(-300.0, 300.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(small_count_tables(st.integers(0, 10**400)), min_size=1, max_size=4), _ANY_PRIOR,
+       st.lists(st.floats(-1e6, 0.0), min_size=1, max_size=6))
+def test_scores_are_log_probabilities(tables, prior, members):
+    scores = [log_sml(t, prior) for t in tables]
+    assert all(s <= 0.0 for s in scores), scores
+    # the first label of each stored configuration has probability exactly 1/r
+    for t, s in zip(tables, scores):
+        assert s <= -len(t.counts) * math.log(t.class_arity) * (1 - 1e-9), (s, t.counts.tolist())
+    assert log_family_score(scores).log_value <= 0.0
+    assert log_family_score(members).log_value <= 0.0

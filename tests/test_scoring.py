@@ -164,6 +164,14 @@ class TestLogSml:
                     log_sml(table, PriorSpec.uniform_cell(a)), expected, atol=1e-12
                 )
 
+    @pytest.mark.parametrize("strength", [1e14, 1e15, 1e16, 1e17, 1e300])
+    def test_huge_uniform_strength_makes_every_label_uniform(self, strength):
+        # a mass that dwarfs the counts leaves each of 8 labels probability
+        # 1/2; lgamma(a + k) - lgamma(a) cancels nearly every digit there
+        # (it gave -7.67 at 1e14 and +128 at 1e16), a sum of logs does not
+        table = build_count_table(_binary_data([[0], [1]] * 4, [0, 1] * 4), ())
+        assert_allclose(log_sml(table, PriorSpec.uniform_cell(strength)), -8 * math.log(2), rtol=1e-12)
+
     def test_ess_matches_uniform_with_scaled_alpha(self):
         # s spread over q*r cells is the same prior as alpha = s/(q*r) per cell
         rng = np.random.default_rng(37)

@@ -14,6 +14,7 @@ from smlbayes import (
     PriorSpec,
     Schema,
     SearchConfig,
+    SplitPlan,
     build_count_table,
     log_family_score,
     log_sml,
@@ -23,6 +24,8 @@ from smlbayes import (
     singleton_partition,
     validate_partition,
 )
+from smlbayes.data import split_indices
+from smlbayes.search import BoundedDraws
 
 UNIFORM = PriorSpec.uniform_cell(1.0)
 
@@ -88,6 +91,13 @@ class TestProposeMove:
             got = propose_move([[2, 0], [1], [3]], rng, max_block_size=3)
             assert got == propose_move(((2, 0), (1,), (3,)), tuple_rng, max_block_size=3)
             validate_partition(got, 4)
+
+    def test_same_partition_object_under_another_cap(self):
+        # one partition object proposed from under two caps gets each cap's moves
+        part = singleton_partition(3)
+        assert max(len(b) for b in propose_move(part, np.random.default_rng(3))) == 2
+        with pytest.raises(ValueError, match="no applicable moves"):
+            propose_move(part, np.random.default_rng(3), max_block_size=1)
 
     def test_always_valid_and_different(self):
         rng = np.random.default_rng(9)
@@ -201,3 +211,24 @@ class TestPmSearch:
         ):
             with pytest.raises(ConfigError):
                 SearchConfig(**bad)
+
+
+class TestGoldenDraws:
+    """Literal draws, so a NumPy release that changes a stream fails here by
+    name rather than as a distant report difference."""
+
+    def test_search_stream(self):
+        # in-repo bounded draws over PCG64's raw stream, which NEP 19 keeps stable
+        bounds = [1, 2, 3, 7, 10, 100, 2**31 + 1, 2**32 - 1, 2**32, 5,
+                  2**40, 6, 2**63, 17, 1, 4, 9, 1000, 2**31, 3]
+        draws = BoundedDraws(np.random.PCG64(20130601))
+        assert [draws.integers(n) for n in bounds] == [
+            0, 0, 0, 4, 1, 95, 2025178271, 1094721480, 639002505, 4,
+            975358109720, 4, 6450902180191085454, 6, 0, 2, 5, 55, 1382958360, 0,
+        ]
+
+    def test_split(self):
+        # NumPy's Generator.permutation, which NumPy may change between releases
+        train, test = split_indices(40, SplitPlan(0.75, 7, 3))
+        assert train.tolist()[:12] == [6, 9, 38, 21, 12, 26, 16, 13, 29, 19, 27, 25]
+        assert test.tolist() == [39, 8, 18, 37, 36, 15, 11, 28, 2, 17]
