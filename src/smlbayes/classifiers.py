@@ -38,6 +38,7 @@ from .scoring import (
     CountTable,
     PriorSpec,
     _log_sum_exp,
+    _run_edges,
     build_count_table,
     log_sml,
 )
@@ -65,53 +66,79 @@ class _StackedRows:
 
     Configurations are found by mixed-radix integer keys, first member most
     significant, so a block's keys sort like its configurations; each block's
-    keys are offset past the previous block's, so all blocks share one sorted
-    key array and one `searchsorted`. A member's digit is its value capped at
-    one more than its largest stored value, so a larger value (such as the
-    unseen-level sentinel) or a negative one gives a key no stored
-    configuration has. The keys are uint64 while the stacked key range stays
-    below 2**64 and Python ints in an object array past it: the same code,
-    only slower.
+    keys are offset past the previous block's, so the blocks tile one key
+    range [0, top). A member's digit is its value capped at one more than its
+    largest stored value, so a larger value (such as the unseen-level
+    sentinel) or a negative one gives a key no stored configuration has.
+
+    That range is cut into intervals, each holding one row: [k, k + 1) for
+    every stored key k, and the block's unseen row for each gap between
+    them. `_ends` holds every interval's end in ascending order, the last
+    being top, and `table` the row of each interval, so a gather is one
+    `searchsorted` and one `take`. The keys are uint64 while top
+    stays below 2**64 and Python ints in an object array past it: the same
+    code, only slower.
     """
 
     def __init__(self, blocks: Sequence[_Block]) -> None:
         n_blocks = len(blocks)
         members = max((len(b[0]) for b in blocks), default=0)
-        # a padding member reads x[0] (present whenever members > 0) with stride 0
-        self._pos = np.zeros((n_blocks, members), dtype=np.intp)
-        self._cap = np.zeros((n_blocks, members), dtype=np.uint64)
-        strides, bases = [[0] * members for _ in blocks], []
+        # one row per member position and one column per block, so the key
+        # sum reduces over the outer axis; a padding member reads x[0]
+        # (present whenever members > 0) with stride 0
+        self._pos = np.zeros((members, n_blocks), dtype=np.intp)
+        self._cap = np.zeros((members, n_blocks), dtype=np.uint64)
+        strides, bases = [[0] * n_blocks for _ in range(members)], []
         top = 0
         for c, (subset, configs, _, _) in enumerate(blocks):
             caps = (configs.max(axis=0, initial=-1) + 1).tolist()
             span = 1
             for j in reversed(range(len(caps))):
-                strides[c][j] = span
+                strides[j][c] = span
                 span *= caps[j] + 1
-            self._pos[c, :len(subset)] = subset
-            self._cap[c, :len(caps)] = caps
+            self._pos[:len(subset), c] = subset
+            self._cap[:len(caps), c] = caps
             bases.append(top)
             top += span
         dtype = np.uint64 if top < 2**64 else object
-        self._stride = np.array(strides, dtype=dtype).reshape(n_blocks, members)
+        self._stride = np.array(strides, dtype=dtype).reshape(members, n_blocks)
         self._base = np.array(bases, dtype=dtype)
-        keys = [b[1].astype(dtype) @ s[:len(b[0])] + base
-                for b, s, base in zip(blocks, self._stride, self._base)]
-        # the sentinel lies above every key, so a search never runs off the end
-        self._keys = np.concatenate([*keys, np.array([top], dtype=dtype)])
-        self._unseen = np.arange(len(self._keys) - 1, len(self._keys) - 1 + n_blocks)
-        self.table = np.concatenate([*(b[2] for b in blocks), np.stack([b[3] for b in blocks])])
-        for a in (self._pos, self._cap, self._stride, self._base, self._keys, self._unseen, self.table):
+        self._ends, rows = self._intervals(blocks, top)
+        stacked = np.concatenate([*(b[2] for b in blocks), np.stack([b[3] for b in blocks])])
+        self.table = stacked.take(rows, axis=0)
+        for a in (self._pos, self._cap, self._stride, self._base, self._ends, self.table):
             a.flags.writeable = False
+
+    def _intervals(self, blocks: Sequence[_Block], top: int) -> tuple[np.ndarray, np.ndarray]:
+        """Interval ends, and the row of each interval in the table that stacks
+        every block's stored rows and then its unseen rows.
+
+        Intervals start at each block's base, at each stored key and at each
+        key + 1. Where starts coincide, a stored key wins over a base (a
+        stored all-zero configuration) and over a key + 1 (adjacent keys),
+        and a base wins over a key + 1 (after the one key of an empty
+        subset comes the next block's base, or top).
+        """
+        dtype = self._base.dtype
+        per_block = [b[1].astype(dtype) @ s[:len(b[0])] + base
+                     for b, s, base in zip(blocks, self._stride.T, self._base)]
+        keys = np.concatenate(per_block)
+        unseen = len(keys) + np.arange(len(blocks))
+        # the start at top closes the last interval
+        starts = np.concatenate([keys, self._base, np.array([top], dtype=dtype), keys + 1])
+        rows = np.concatenate([np.arange(len(keys)), unseen, [-1],
+                               np.repeat(unseen, [len(k) for k in per_block])])
+        order = np.argsort(starts, kind="stable")
+        starts, rows = starts[order], rows[order]
+        first = _run_edges(starts)[:-1]
+        return starts[first][1:], rows[first][:-1]
 
     def gather(self, x: Sequence[int]) -> np.ndarray:
         # negative values wrap to huge unsigned ones and are capped too
         digits = np.asarray(x, dtype=np.int64)[self._pos].view(np.uint64)
-        key = (np.minimum(digits, self._cap) * self._stride).sum(axis=1)
+        key = np.add.reduce(np.minimum(digits, self._cap) * self._stride)
         key += self._base
-        found = np.searchsorted(self._keys, key)
-        idx = np.where(self._keys[found] == key, found, self._unseen)
-        return self.table[idx]
+        return self.table.take(self._ends.searchsorted(key, "right"), axis=0)
 
 
 def _diag_block(table: CountTable, prior: PriorSpec) -> _Block:
@@ -177,7 +204,7 @@ class MixtureClassifier:
         """Average the component predictions in probability space."""
         weights, rows = self._compiled
         out = weights @ rows.gather(x)
-        return out / out.sum()
+        return out / np.add.reduce(out)
 
     @cached_property
     def _compiled(self) -> tuple[np.ndarray, _StackedRows]:
@@ -214,10 +241,16 @@ def build_pm_mixture(
 
 
 def _class_log_prior(class_counts: np.ndarray, prior: PriorSpec) -> np.ndarray:
-    """Smoothed log class marginal."""
+    """Smoothed log class marginal.
+
+    Where the prior mass r * a leaves float range, the denominator's log is
+    assembled as log a + log(N / a + r) instead.
+    """
     r = len(class_counts)
-    a = prior.cell_prior(1, 0.0, r)[0]
-    return np.log(class_counts + a) - math.log(float(class_counts.sum()) + r * a)
+    a, log_a = prior.cell_prior(1, 0.0, r)
+    n = float(class_counts.sum())
+    log_total = math.log(n + r * a) if r * a < math.inf else log_a + math.log(n / a + r)
+    return np.log(class_counts + a) - log_total
 
 
 def _cond_log_column(
@@ -237,8 +270,9 @@ def _cond_log_column(
 
 
 def _softmax(log_scores: np.ndarray) -> ClassDistribution:
-    p = np.exp(log_scores - log_scores.max())
-    return p / p.sum()
+    # the ufunc reductions are what ndarray.max and .sum call, minus a wrapper
+    p = np.exp(log_scores - np.maximum.reduce(log_scores))
+    return p / np.add.reduce(p)
 
 
 @dataclass(eq=False)

@@ -13,9 +13,11 @@ over no predictors, a prior whose scores are not finite).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -152,12 +154,30 @@ def _load_encoded(args, search: bool):
     return raw, encoder, encoder.encode_table(raw)
 
 
+@contextlib.contextmanager
 def _open_out(path: str, newline: str | None = None):
-    """Open the --out file for writing; a path that cannot be opened is an input problem."""
+    """Open the --out file for writing, through a temporary file beside it.
+
+    The temporary file replaces `path` (the file a symlink names, if it is
+    one) only once the block has written its last byte; if the block fails,
+    it is removed and a file already at `path` stays as it was. A path that
+    names something other than a regular file, such as /dev/stdout or a
+    pipe, is written in place: replacing it would remove it. A path that
+    cannot be written is an input problem.
+    """
+    target = os.path.realpath(path)
+    in_place = os.path.exists(target) and not os.path.isfile(target)
+    tmp = target if in_place else f"{target}.{os.getpid()}.tmp"
     try:
-        return open(path, "w", newline=newline, encoding="utf-8")
+        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
+        if not in_place:
+            os.replace(tmp, target)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
+    finally:
+        if not in_place and os.path.lexists(tmp):
+            os.unlink(tmp)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -267,10 +287,11 @@ def _cmd_predict(args) -> int:
     with _open_out(args.out, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"p_{v}" for v in value_names] + ["predicted"])
-        for x in codes:
-            dist = model.predict(x)
-            label = value_names[int(dist.argmax())]
-            writer.writerow([repr(float(p)) for p in dist] + [label])
+        # repr of each probability as a Python float, then the argmax's name
+        writer.writerows(
+            [*map(repr, dist.tolist()), value_names[dist.argmax()]]
+            for dist in map(model.predict, codes)
+        )
     return EXIT_OK
 
 

@@ -110,24 +110,37 @@ def train_model(spec: ClassifierSpec, train: Dataset, search_result: SearchResul
     return build(search_result.best_partition, train, spec.prior)
 
 
-def zero_one_loss(predictions: Sequence[np.ndarray], truth: Sequence[int]) -> float:
-    """Fraction misclassified; argmax ties resolve to the smallest class index."""
+def _aligned(predictions, truth) -> tuple[np.ndarray, np.ndarray]:
+    """Predictions as an (n, r) float array and truth as n class indices."""
+    truth = np.asarray(truth, dtype=np.intp)
     if len(predictions) != len(truth) or len(truth) == 0:
         raise ValueError("predictions and truth must be nonempty and aligned")
-    wrong = sum(int(np.argmax(p)) != int(t) for p, t in zip(predictions, truth))
+    return np.asarray(predictions, dtype=float), truth
+
+
+def zero_one_loss(predictions: np.ndarray | Sequence[np.ndarray], truth: Sequence[int]) -> float:
+    """Fraction misclassified; argmax ties resolve to the smallest class index.
+
+    ``predictions`` is an (n, r) array, or n distributions of length r.
+    """
+    predictions, truth = _aligned(predictions, truth)
+    wrong = np.count_nonzero(predictions.argmax(axis=1) != truth)
     return wrong / len(truth)
 
 
-def log_loss(predictions: Sequence[np.ndarray], truth: Sequence[int]) -> float:
-    """Mean negative log probability assigned to the true label."""
-    if len(predictions) != len(truth) or len(truth) == 0:
-        raise ValueError("predictions and truth must be nonempty and aligned")
+def log_loss(predictions: np.ndarray | Sequence[np.ndarray], truth: Sequence[int]) -> float:
+    """Mean negative log probability assigned to the true label.
+
+    ``predictions`` as for `zero_one_loss`. The logs are `math.log`s,
+    subtracted in row order.
+    """
+    predictions, truth = _aligned(predictions, truth)
+    at_truth = predictions[np.arange(len(truth)), truth]
+    if (at_truth <= 0.0).any():
+        raise ValueError("zero probability at the true label")
     total = 0.0
-    for p, t in zip(predictions, truth):
-        pt = float(p[int(t)])
-        if pt <= 0.0:
-            raise ValueError("zero probability at the true label")
-        total -= math.log(pt)
+    for p in at_truth.tolist():
+        total -= math.log(p)
     return total / len(truth)
 
 
@@ -170,8 +183,8 @@ class EvalReport:
 
 
 def _evaluate(model, rows: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
-    preds = [model.predict(row) for row in rows]
-    return zero_one_loss(preds, labels.tolist()), log_loss(preds, labels.tolist())
+    preds = np.array(list(map(model.predict, rows)))
+    return zero_one_loss(preds, labels), log_loss(preds, labels)
 
 
 def run_trials(

@@ -355,8 +355,10 @@ def log_sml(table: CountTable, prior: PriorSpec) -> float:
     bit for bit.
 
     A score that is not finite raises `ConfigError` naming the prior: a
-    strength so large that lgamma of the prior mass is inf (mass past ~2.55e305),
-    which is caught before any array sees it, so no floating-point warning fires.
+    strength so large that the class mass A_j itself leaves float range,
+    which is caught before any array sees it, so no floating-point warning
+    fires. A smaller mass, even one whose lgamma overflows, takes the
+    summed-log branch and scores.
     """
     if table.n_rows == 0:
         return 0.0
@@ -366,22 +368,24 @@ def log_sml(table: CountTable, prior: PriorSpec) -> float:
     n_j = table.config_totals
     if a_cell >= _TINY:
         a_row = a_cell * r
-        lg_row, lg_cell = _lgamma_or_inf(a_row), _lgamma_or_inf(a_cell)
-        if lg_row == math.inf:
+        if a_row == math.inf:
+            # lgamma(a_row) - lgamma(a_row + N) would be inf - inf
             raise ConfigError(f"prior {prior.describe()} gives a non-finite score (nan)")
         top = int(n_j.max())
         if a_cell > _DWARFS * top:
             # lgamma(a + k) - lgamma(a) would cancel nearly every digit
             row_part, cell_part = -_rising_log(a_row, top)[n_j], _rising_log(a_cell, top)[counts]
-        elif top < counts.size:
-            # each possible count's term, as plain floats: the same additions as in an array
-            steps = range(top + 1)
-            row_lut = np.array([lg_row - _lgamma_or_inf(a_row + k) for k in steps])
-            cell_lut = np.array([_lgamma_or_inf(a_cell + k) - lg_cell for k in steps])
-            row_part, cell_part = row_lut[n_j], cell_lut[counts]
         else:
-            row_part = lg_row - _lgamma(a_row + n_j)
-            cell_part = _lgamma(counts + a_cell) - lg_cell
+            lg_row, lg_cell = _lgamma_or_inf(a_row), _lgamma_or_inf(a_cell)
+            if top < counts.size:
+                # each possible count's term, as plain floats: the same additions as in an array
+                steps = range(top + 1)
+                row_lut = np.array([lg_row - _lgamma_or_inf(a_row + k) for k in steps])
+                cell_lut = np.array([_lgamma_or_inf(a_cell + k) - lg_cell for k in steps])
+                row_part, cell_part = row_lut[n_j], cell_lut[counts]
+            else:
+                row_part = lg_row - _lgamma(a_row + n_j)
+                cell_part = _lgamma(counts + a_cell) - lg_cell
     else:
         # prior mass underflowed to 0 or to a subnormal, whose few significant
         # bits would skew the score: gamma(a)/gamma(a + N) -> -log a - lgamma(N)

@@ -1,6 +1,8 @@
 """Diagnostic, mixture, naive Bayes, and block-augmented classifiers."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from smlbayes import (
     singleton_partition,
 )
 from scipy.special import logsumexp
+from smlbayes.classifiers import _StackedRows
 
 UNIFORM = PriorSpec.uniform_cell(1.0)
 ESS2 = PriorSpec.equivalent_sample_size(2.0)
@@ -202,6 +205,15 @@ class TestNaiveBayes:
         with pytest.raises(DataError):
             build_nb(data, UNIFORM)
 
+    def test_class_prior_mass_past_float_range(self):
+        # r * a = 2e308 is inf: the class prior's denominator is taken in
+        # logs, so the prediction is the uniform distribution, not nan
+        data = _data([[0], [0], [1]], [0, 0, 1], (2,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = build_nb(data, PriorSpec.uniform_cell(1e308)).predict([0])
+        assert_allclose(p, [0.5, 0.5], rtol=1e-12)
+
 
 class TestAnb:
     def test_all_singletons_equals_nb(self):
@@ -314,3 +326,51 @@ class TestSharedProperties:
                 p = originals[name].predict(x)
                 q = relabeled[name].predict(x)
                 assert_allclose(q[perm], p, atol=1e-12)
+
+
+class TestStackedRows:
+    """Every lookup of hand-made blocks against a linear search."""
+
+    @staticmethod
+    def _block(subset, configs, start):
+        configs = np.array(configs, dtype=np.int64).reshape(len(configs), len(subset))
+        rows = start + np.arange(2 * len(configs), dtype=float).reshape(len(configs), 2)
+        return tuple(subset), configs, rows, np.array([-start, -start - 1.0])
+
+    @staticmethod
+    def _linear(blocks, x):
+        out = []
+        for subset, configs, rows, unseen in blocks:
+            found = [i for i, c in enumerate(configs.tolist()) if c == [x[j] for j in subset]]
+            out.append(rows[found[0]] if found else unseen)
+        return np.array(out)
+
+    def _check(self, blocks, values):
+        stacked = _StackedRows(blocks)
+        arrays = [a for a in vars(stacked).values() if isinstance(a, np.ndarray)]
+        assert arrays and not any(a.flags.writeable for a in arrays)
+        for x in itertools.product(*values):
+            got, want = stacked.gather(list(x)), self._linear(blocks, x)
+            assert got.shape == want.shape and (got == want).all(), x
+        return stacked
+
+    def test_lookups_equal_a_linear_search(self):
+        blocks = [
+            # the empty subset, as anb stacks its class prior: one stored key
+            self._block((), [()], 10),
+            # keys 0 and 1 adjacent, the first at the block's base; caps 3 and 4
+            self._block((0, 1), [(0, 0), (0, 1), (1, 3), (2, 2)], 20),
+            # every capped key but the last stored, so key + 1 is the cap digit
+            self._block((2,), [(0,), (1,), (2,)], 30),
+            # nothing stored: every digit reads the unseen row
+            self._block((1,), [], 40),
+        ]
+        big = self._block((3, 4), [(0, 5), (2**40, 2**40)], 50)
+        # digits below 0, at and above each cap, and int64 extremes
+        values = [(-1, 0, 1, 2, 3, 4), (-1, 0, 1, 2, 3, 4, 5), (-(2**63), -1, 0, 1, 2, 3, 4),
+                  (-1, 0, 1, 2**40, 2**40 + 1, 2**63 - 1), (-1, 0, 5, 2**40)]
+        small = self._check(blocks, values)
+        assert small._ends.dtype == np.uint64 and small._ends[-1] == 1 + 20 + 4 + 1
+        # the big block carries the stacked key range past 2**64
+        mixed = self._check([blocks[0], big, *blocks[1:]], values)
+        assert mixed._ends.dtype == object and mixed._ends[-1] == 1 + (2**40 + 2) ** 2 + 25

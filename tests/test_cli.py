@@ -1,15 +1,23 @@
 """End-to-end command line checks, including exit codes and file outputs."""
 
 import csv
+import io
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
+import threading
+import warnings
 
+import numpy as np
 import pytest
 
-from smlbayes.cli import main, parse_prior
+from smlbayes.classifiers import NBClassifier
+from smlbayes.cli import _read_codes, main, parse_prior
 from smlbayes.errors import ConfigError
+from smlbayes.model_io import load_model
 from smlbayes.scoring import PriorSpec
 
 
@@ -237,6 +245,88 @@ class TestTrainPredict:
         total = float(rows[1][0]) + float(rows[1][1])
         assert total == pytest.approx(1.0, abs=1e-12)
         assert rows[1][2] == "cold"
+
+    @staticmethod
+    def _one_row(tmp_path):
+        path = tmp_path / "new.csv"
+        path.write_text("temp,color\n2,red\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("classifier", ["nb", "om2", "pm", "anb"])
+    def test_predict_bytes_equal_a_reference_writer(self, data_csv, tmp_path, classifier):
+        # green is an unseen level and 99 lies past every cut point
+        model_path = self._train(data_csv, tmp_path, classifier)
+        text = "color,temp\nred,2\ngreen,14\nblue,99\ngreen,-5\nred,16\n"
+        self._predict(tmp_path, model_path, text)
+        model, encoder = load_model(str(model_path))
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        names = list(encoder.class_values)
+        writer.writerow([f"p_{v}" for v in names] + ["predicted"])
+        for x in _read_codes(str(tmp_path / "new.csv"), encoder):
+            dist = model.predict(x)
+            writer.writerow([repr(float(p)) for p in dist] + [names[int(np.argmax(dist))]])
+        assert (tmp_path / "pred.csv").read_bytes() == ref.getvalue().encode("utf-8")
+
+    def test_failed_predict_leaves_no_partial_file(self, data_csv, tmp_path, monkeypatch):
+        # the model fails on its 900th row, after some 30 KB have been written
+        model_path = self._train(data_csv, tmp_path, "nb")
+        input_path = tmp_path / "new.csv"
+        input_path.write_text("temp,color\n" + "2,red\n" * 1000, encoding="utf-8")
+        out = tmp_path / "p.csv"
+        out.write_text("earlier output\n", encoding="utf-8")
+        before = sorted(tmp_path.iterdir())
+        predict, calls = NBClassifier.predict, []
+
+        def failing(self, x):
+            calls.append(x)
+            if len(calls) == 900:
+                raise RuntimeError("model failed")
+            return predict(self, x)
+
+        monkeypatch.setattr(NBClassifier, "predict", failing)
+        with pytest.raises(RuntimeError, match="model failed"):
+            main(["predict", "--model", str(model_path), "--input", str(input_path), "--out", str(out)])
+        assert sorted(tmp_path.iterdir()) == before
+        assert out.read_text(encoding="utf-8") == "earlier output\n"
+
+    def test_out_naming_a_directory_exits_2_and_leaves_nothing(self, data_csv, tmp_path, capsys):
+        model_path = self._train(data_csv, tmp_path, "nb")
+        input_path = self._one_row(tmp_path)
+        out = tmp_path / "taken"
+        out.mkdir()
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--input", str(input_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}:") and err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == before and not any(out.iterdir())
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_out_naming_a_pipe_is_written_in_place(self, data_csv, tmp_path):
+        # replacing a pipe (or a device such as /dev/stdout) would remove it
+        model_path = self._train(data_csv, tmp_path, "nb")
+        input_path = self._one_row(tmp_path)
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()), daemon=True)
+        reader.start()
+        code = main(["predict", "--model", str(model_path), "--input", str(input_path), "--out", str(pipe)])
+        reader.join(timeout=30)
+        assert code == 0 and not reader.is_alive()
+        assert stat.S_ISFIFO(pipe.stat().st_mode)
+        assert got[0].startswith(b"p_cold,p_hot,predicted\r\n")
+
+    def test_out_naming_a_symlink_replaces_its_target(self, data_csv, tmp_path):
+        model_path = self._train(data_csv, tmp_path, "nb")
+        input_path = self._one_row(tmp_path)
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("earlier output\n", encoding="utf-8")
+        link.symlink_to(target)
+        assert main(["predict", "--model", str(model_path), "--input", str(input_path), "--out", str(link)]) == 0
+        assert link.is_symlink() and target.read_text(encoding="utf-8").startswith("p_cold")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "link.csv", "nb.json", "new.csv", "target.csv"]
 
     def test_missing_predictor_column_exits_2(self, data_csv, tmp_path):
         model_path = self._train(data_csv, tmp_path, "nb")
@@ -524,29 +614,33 @@ class TestFlagChecks:
         ids=["search", "eval", "train"],
     )
     def test_prior_too_strong_to_score_exits_3(self, tmp_path, capsys, argv):
-        # lgamma of the prior mass overflows, and the score would be nan
+        # the class mass 2 * 1e308 leaves float range, and the score would be nan
         data = tmp_path / "d.csv"
         rows = [f"{i},{'xy'[i % 2]},{'pq'[i % 2]}" for i in range(1, 9)]
         data.write_text("\n".join(["a,b,cls", *rows]) + "\n", encoding="utf-8")
         out = tmp_path / "out.json"
-        args = [*argv, "--data", str(data), "--class-col", "cls", "--prior", "uniform:1e306"]
-        assert main([*args, "--out", str(out)]) == 3
+        args = [*argv, "--data", str(data), "--class-col", "cls", "--prior", "uniform:1e308"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*args, "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert err == "error: prior uniform:1e+306 gives a non-finite score (nan)\n"
+        assert err == "error: prior uniform:1e+308 gives a non-finite score (nan)\n"
         assert not out.exists()
 
     def test_huge_prior_scores_a_log_probability(self, tmp_path):
         # the CI runtime-only CSV: at uniform:1e16 every one of the 8 labels has
-        # probability 1/2 under every partition (the score was +128)
+        # probability 1/2 under every partition (the score was +128); at 1e306,
+        # where lgamma of the class mass overflows, too (it exited 3)
         data = tmp_path / "data.csv"
         rows = [f"{i},{'yx'[i % 2]},{'qp'[i % 2]}" for i in range(1, 9)]
         data.write_text("\n".join(["a,b,cls", *rows]) + "\n", encoding="utf-8")
         out = tmp_path / "partition.json"
-        argv = ["search", "--data", str(data), "--class-col", "cls", "--restarts", "2",
-                "--prior", "uniform:1e16", "--out", str(out)]
-        assert main(argv) == 0
-        best = json.loads(out.read_text(encoding="utf-8"))["best_score"]["log_value"]
-        assert float(best) == pytest.approx(-8 * math.log(2), rel=1e-12)
+        for prior in ("uniform:1e16", "uniform:1e306"):
+            argv = ["search", "--data", str(data), "--class-col", "cls", "--restarts", "2",
+                    "--prior", prior, "--out", str(out)]
+            assert main(argv) == 0
+            best = json.loads(out.read_text(encoding="utf-8"))["best_score"]["log_value"]
+            assert float(best) == pytest.approx(-8 * math.log(2), rel=1e-12)
 
     @pytest.mark.parametrize("command", ["eval", "search", "train", "predict"])
     def test_unwritable_out_exits_2(self, data_csv, tmp_path, capsys, command):

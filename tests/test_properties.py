@@ -46,8 +46,10 @@ from smlbayes import (
     build_omi,
     build_pm_mixture,
     log_family_score,
+    log_loss,
     log_sml,
     score_partition,
+    zero_one_loss,
 )
 from smlbayes import DataError, load_csv, search
 from smlbayes.cli import _read_codes
@@ -480,7 +482,7 @@ def test_configuration_space_beyond_int64_keys_is_looked_up_by_tuple(case, draw)
     for model, top in models:
         rows = model._compiled[1] if isinstance(model, MixtureClassifier) else model._compiled
         event("object keys" if top >= 2**64 else "uint64 keys")
-        assert rows._keys.dtype == (object if top >= 2**64 else np.uint64)
+        assert rows._ends.dtype == (object if top >= 2**64 else np.uint64)
         _assert_predicts_like_oracle(model, queries)
 
 
@@ -526,8 +528,8 @@ def test_compiled_predict_equals_per_row_oracle_on_both_sides_of_uint64_keys(cas
                        (pm, _key_span(pm.tables))]:
         rows = model._compiled[1] if isinstance(model, MixtureClassifier) else model._compiled
         event("object keys" if top >= 2**64 else "uint64 keys")
-        assert rows._keys.dtype == (object if top >= 2**64 else np.uint64)
-        assert rows._keys[-1] == top
+        assert rows._ends.dtype == (object if top >= 2**64 else np.uint64)
+        assert rows._ends[-1] == top
         _assert_predicts_like_oracle(model, queries)
 
 
@@ -574,7 +576,7 @@ def test_returned_distributions_are_fresh(case):
         compiled = model._compiled
         tables = compiled if isinstance(compiled, tuple) else (compiled,)
         for part in tables:
-            arrays = [part] if isinstance(part, np.ndarray) else [part.table, part._keys]
+            arrays = [part] if isinstance(part, np.ndarray) else [part.table, part._ends]
             assert not any(a.flags.writeable for a in arrays)
         x = queries[0]
         first = model.predict(x)
@@ -787,3 +789,28 @@ def test_scores_are_log_probabilities(tables, prior, members):
         assert s <= -len(t.counts) * math.log(t.class_arity) * (1 - 1e-9), (s, t.counts.tolist())
     assert log_family_score(scores).log_value <= 0.0
     assert log_family_score(members).log_value <= 0.0
+
+
+@st.composite
+def predictions_and_truth(draw):
+    """n rows of r positive probabilities, most drawn from a few values so
+    that rows tie at their maximum, and n true labels."""
+    n, r = draw(st.integers(1, 30)), draw(st.integers(1, 5))
+    cell = st.sampled_from([0.125, 0.25, 0.5]) | st.floats(1e-300, 1.0)
+    rows = draw(st.lists(st.lists(cell, min_size=r, max_size=r), min_size=n, max_size=n))
+    return np.array(rows), draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(predictions_and_truth())
+def test_array_losses_equal_the_per_row_definitions(case):
+    preds, truth = case
+    wrong = sum(int(np.argmax(p)) != t for p, t in zip(preds, truth))
+    total = 0.0
+    for p, t in zip(preds, truth):
+        total -= math.log(float(p[t]))
+    if any((p == p.max()).sum() > 1 for p in preds):
+        event("argmax tie")
+    for given_preds in (preds, list(preds)):
+        assert zero_one_loss(given_preds, truth) == wrong / len(truth)
+        assert log_loss(given_preds, np.array(truth)) == total / len(truth)

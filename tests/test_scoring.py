@@ -164,11 +164,12 @@ class TestLogSml:
                     log_sml(table, PriorSpec.uniform_cell(a)), expected, atol=1e-12
                 )
 
-    @pytest.mark.parametrize("strength", [1e14, 1e15, 1e16, 1e17, 1e300])
+    @pytest.mark.parametrize("strength", [1e14, 1e15, 1e16, 1e17, 1e300, 1e306])
     def test_huge_uniform_strength_makes_every_label_uniform(self, strength):
         # a mass that dwarfs the counts leaves each of 8 labels probability
         # 1/2; lgamma(a + k) - lgamma(a) cancels nearly every digit there
-        # (it gave -7.67 at 1e14 and +128 at 1e16), a sum of logs does not
+        # (it gave -7.67 at 1e14 and +128 at 1e16), a sum of logs does not;
+        # at 1e306 lgamma of the class mass overflows, the sum does not
         table = build_count_table(_binary_data([[0], [1]] * 4, [0, 1] * 4), ())
         assert_allclose(log_sml(table, PriorSpec.uniform_cell(strength)), -8 * math.log(2), rtol=1e-12)
 
@@ -231,18 +232,26 @@ class TestLogSml:
     @pytest.mark.parametrize(
         "prior,name",
         [
-            (PriorSpec.uniform_cell(1e306), "uniform:1e+306"),
-            (PriorSpec.equivalent_sample_size(1e307), "bdeu:1e+307"),
+            (PriorSpec.uniform_cell(1e308), "uniform:1e+308"),
         ],
     )
     def test_non_finite_score_raises_naming_the_prior(self, prior, name):
-        # lgamma of the prior mass overflows to inf, and inf - inf is nan;
+        # the class mass 2 * 1e308 is inf itself, and inf - inf is nan;
         # the raise is the whole report: no RuntimeWarning on the way
         table = build_count_table(_binary_data([[0], [1], [0], [1]], [0, 1, 0, 1]), (0,))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigError, match=rf"^prior {re.escape(name)} gives a non-finite"):
                 log_sml(table, prior)
+
+    def test_bdeu_row_mass_cannot_overflow(self):
+        # BDeu's class mass is s / q, finite for every finite s, so even a
+        # strength whose lgamma overflows scores, without a RuntimeWarning
+        table = build_count_table(_binary_data([[0], [1], [0], [1]], [0, 1, 0, 1]), (0,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            score = log_sml(table, PriorSpec.equivalent_sample_size(1e307))
+        assert math.isfinite(score) and score <= 0.0
 
 
 class TestFamilyScore:
