@@ -15,9 +15,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import json
 import math
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -154,30 +156,57 @@ def _load_encoded(args, search: bool):
     return raw, encoder, encoder.encode_table(raw)
 
 
+def _create_beside(target: str) -> tuple[str, int]:
+    """A new file beside `target`, opened for writing.
+
+    O_EXCL never opens a file that is already there, so a file this run did
+    not create is never truncated or removed; mode 0o666 less the umask is
+    what `open(target, "w")` would have given a new file.
+    """
+    for n in range(100):
+        tmp = f"{target}.{os.getpid()}.{n}.tmp"
+        try:
+            return tmp, os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue
+    raise FileExistsError(errno.EEXIST, "no free temporary file name", tmp)
+
+
 @contextlib.contextmanager
 def _open_out(path: str, newline: str | None = None):
     """Open the --out file for writing, through a temporary file beside it.
 
     The temporary file replaces `path` (the file a symlink names, if it is
-    one) only once the block has written its last byte; if the block fails,
-    it is removed and a file already at `path` stays as it was. A path that
+    one) only once the block has written its last byte, and takes the
+    permission bits of the file it replaces; if the block fails, it is
+    removed and a file already at `path` stays as it was. A path that
     names something other than a regular file, such as /dev/stdout or a
     pipe, is written in place: replacing it would remove it. A path that
     cannot be written is an input problem.
     """
-    target = os.path.realpath(path)
-    in_place = os.path.exists(target) and not os.path.isfile(target)
-    tmp = target if in_place else f"{target}.{os.getpid()}.tmp"
+    # exists and isfile stat through /dev/stdout's link to 'pipe:[N]',
+    # which realpath cannot resolve, so decide on the path as given
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    target, tmp = os.path.realpath(path), None
     try:
-        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+        if in_place:
+            fh = open(path, "w", newline=newline, encoding="utf-8")
+        else:
+            tmp, fd = _create_beside(target)
+            fh = os.fdopen(fd, "w", newline=newline, encoding="utf-8")
+        with fh:
+            if tmp is not None and os.path.exists(target):
+                shutil.copymode(target, tmp)
             yield fh
-        if not in_place:
+        if tmp is not None:
             os.replace(tmp, target)
+            tmp = None
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
     finally:
-        if not in_place and os.path.lexists(tmp):
-            os.unlink(tmp)
+        if tmp is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
 
 
 def _write_json(path: str, payload: dict) -> None:

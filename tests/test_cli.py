@@ -318,6 +318,44 @@ class TestTrainPredict:
         assert stat.S_ISFIFO(pipe.stat().st_mode)
         assert got[0].startswith(b"p_cold,p_hot,predicted\r\n")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_out_to_dev_stdout_writes_into_a_pipe(self, data_csv, tmp_path):
+        # /dev/stdout links to 'pipe:[N]' here, a name realpath cannot resolve
+        model_path = self._train(data_csv, tmp_path, "nb")
+        input_path = self._one_row(tmp_path)
+        args = ["predict", "--model", str(model_path), "--input", str(input_path)]
+        assert main(args + ["--out", str(tmp_path / "pred.csv")]) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "smlbayes.cli", *args, "--out", "/dev/stdout"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == (tmp_path / "pred.csv").read_bytes()
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs POSIX permission bits")
+    def test_replaced_out_keeps_its_permission_bits(self, data_csv, tmp_path):
+        model_path = self._train(data_csv, tmp_path, "nb")
+        input_path = self._one_row(tmp_path)
+        out = tmp_path / "pred.csv"
+        out.write_text("earlier output\n", encoding="utf-8")
+        out.chmod(0o600)
+        assert main(["predict", "--model", str(model_path), "--input", str(input_path), "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").startswith("p_cold")
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+
+    def test_file_at_the_temporary_name_is_left_alone(self, data_csv, tmp_path):
+        # a file this run did not create is neither truncated nor removed
+        model_path = self._train(data_csv, tmp_path, "nb")
+        input_path = self._one_row(tmp_path)
+        out = tmp_path / "pred.csv"
+        taken = tmp_path / f"pred.csv.{os.getpid()}.0.tmp"
+        taken.write_text("not ours\n", encoding="utf-8")
+        assert main(["predict", "--model", str(model_path), "--input", str(input_path), "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").startswith("p_cold")
+        assert taken.read_text(encoding="utf-8") == "not ours\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "nb.json", "new.csv", "pred.csv", taken.name]
+
     def test_out_naming_a_symlink_replaces_its_target(self, data_csv, tmp_path):
         model_path = self._train(data_csv, tmp_path, "nb")
         input_path = self._one_row(tmp_path)
