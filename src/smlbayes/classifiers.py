@@ -146,15 +146,17 @@ def _diag_block(table: CountTable, prior: PriorSpec) -> _Block:
 
     Each is (count + prior cell) / (config total + prior row mass); a
     configuration never seen in training gets the prior predictive, which is
-    uniform for these symmetric priors.
+    uniform for these symmetric priors. A row whose mass passes float range
+    gets its exact limit 1/r: such a prior cell dwarfs every count.
     """
     r = table.class_arity
     a_cell, _ = prior.cell_prior(table.q, table.log_q, r)
     a_cell = max(a_cell, _CELL_FLOOR)
-    numer = table.counts + a_cell
-    unseen = np.full(r, a_cell)
-    rows = numer / numer.sum(axis=1, keepdims=True)
-    return table.subset, table.config_array, rows, unseen / unseen.sum()
+    numer = np.vstack([table.counts + a_cell, np.full(r, a_cell)])
+    with np.errstate(over="ignore"):
+        total = numer.sum(axis=1, keepdims=True)
+    rows = np.where(np.isinf(total), 1 / r, numer / total)
+    return table.subset, table.config_array, rows[:-1], rows[-1]
 
 
 @dataclass(eq=False)

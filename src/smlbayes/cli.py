@@ -7,7 +7,7 @@ and finite numbers in numeric columns.
 Exit codes: 0 on success, 2 for input problems (unreadable or malformed
 data, or a model file whose tables disagree with its own encoder), 3 for
 configuration problems (bad flags or classifier specs, a partition search
-over no predictors, a prior whose scores are not finite).
+over no predictors, a prior whose scores are not finite, an infinite log loss).
 """
 
 from __future__ import annotations
@@ -295,10 +295,7 @@ def _read_codes(path: str, encoder: DatasetEncoder) -> np.ndarray:
         return [(name, kind == NUMERIC) for name, kind in zip(names, kinds)]
 
     _, columns, n_rows = read_columns(path, keep)
-    codes = np.zeros((n_rows, len(names)), dtype=np.int64)
-    for j, (name, kind, values) in enumerate(zip(names, kinds, columns)):
-        codes[:, j] = encoder.encode_column(name, kind, values)
-    return codes
+    return encoder.encode_columns(columns, n_rows)
 
 
 def _cmd_predict(args) -> int:

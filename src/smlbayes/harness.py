@@ -182,8 +182,10 @@ class EvalReport:
         }
 
 
-def _evaluate(model, rows: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+def _evaluate(model, rows: np.ndarray, labels: np.ndarray, what: str) -> tuple[float, float]:
     preds = np.array(list(map(model.predict, rows)))
+    if not (preds[np.arange(len(labels)), labels] > 0).all():
+        raise ConfigError(f"{what} gives a true label probability 0, so its log loss is infinite")
     return zero_one_loss(preds, labels), log_loss(preds, labels)
 
 
@@ -251,7 +253,7 @@ def run_trials(
                     result = search_cache[key] = pm_search(train, spec.prior, trial_cfg)
                 partitions[spec.name] = [list(b) for b in result.best_partition]
             model = train_model(spec, train, result)
-            zo, ll = _evaluate(model, test_rows, test_labels)
+            zo, ll = _evaluate(model, test_rows, test_labels, f"{spec.name} in trial {t}")
             metrics[spec.name] = {"zero_one_loss": zo, "log_loss": ll}
         trial_results.append(
             TrialResult(t, train.digest(), train.n_rows, len(test_idx), metrics, partitions)

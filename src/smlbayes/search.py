@@ -81,16 +81,6 @@ class SearchConfig:
             "init_mode": self.init_mode,
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SearchConfig":
-        return cls(
-            int(d["restarts"]),
-            int(d["patience"]),
-            None if d.get("max_block_size") is None else int(d["max_block_size"]),
-            int(d["seed"]),
-            d.get("init_mode", "singletons"),
-        )
-
 
 @dataclass(frozen=True)
 class RestartTrace:

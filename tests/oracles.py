@@ -17,6 +17,7 @@ import csv
 import itertools
 import math
 from array import array
+from bisect import bisect_left
 from typing import Iterator
 
 import numpy as np
@@ -417,3 +418,22 @@ def read_codes(path: str, encoder: DatasetEncoder) -> np.ndarray:
     for j, (name, _, levels, values) in enumerate(columns):
         out[:, j] = values if levels is not None else encoder.encode_column(name, NUMERIC, values)
     return out
+
+
+# --- per-cell encoding as `DatasetEncoder` did before `encode_column` coded
+# whole columns, kept so the column form can be checked against it
+
+
+def bin_index(value: float, cuts) -> int:
+    """Map a real value to its bin: count of cut points strictly below it."""
+    return bisect_left(cuts, value)
+
+
+def encode_value(encoder: DatasetEncoder, name: str, kind: str, value) -> int:
+    if kind == NUMERIC:
+        return bin_index(float(value), encoder.discretization.cut_points[name])
+    levels = encoder.categories[name]
+    try:
+        return levels.index(str(value))
+    except ValueError:
+        return len(levels)  # out-of-range sentinel for unseen levels

@@ -61,6 +61,16 @@ class TestDiagnostic:
         model = DiagnosticClassifier(build_count_table(data, (0,)), UNIFORM)
         assert_allclose(model.predict([1]), [0.5, 0.5], atol=1e-12)
 
+    def test_row_mass_past_float_range_gives_uniform(self):
+        # counts + 1e308 summed over two classes leaves float range; the
+        # exact limit of every row, stored or unseen, is 1/r
+        data = _data([[0], [0], [1]], [0, 1, 0], (3,))
+        model = DiagnosticClassifier(build_count_table(data, (0,)), PriorSpec.uniform_cell(1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in ([0], [1], [2]):
+                assert np.array_equal(model.predict(x), np.full(2, 1 / 2))
+
     def test_balanced_counts_give_uniform(self):
         data = _data([[1], [1]], [0, 1], (2,))
         model = DiagnosticClassifier(build_count_table(data, (0,)), UNIFORM)

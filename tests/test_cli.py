@@ -140,6 +140,26 @@ class TestEval:
         assert err.startswith("error: prior strength") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_true_label_probability_0_exits_3_and_keeps_out(self, tmp_path, capsys):
+        # 400 predictors that agree with the class, but row 59 has every x
+        # of class k1 and class k0: nb's softmax underflows to 0 at its label
+        lines = [",".join([f"x{j}" for j in range(400)] + ["cls"])]
+        for i in range(60):
+            x, k = (1, 0) if i == 59 else (i % 2, i % 2)
+            lines.append(",".join([str(x)] * 400 + [f"k{k}"]))
+        data = tmp_path / "under.csv"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "rep.json"
+        out.write_text("earlier report\n")
+        argv = ["eval", "--data", str(data), "--class-col", "cls", "--classifiers", "nb",
+                "--trials", "20", "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: nb in trial ") and err.count("\n") == 1
+        assert "probability 0" in err
+        assert out.read_text() == "earlier report\n"
+        assert sorted(os.listdir(tmp_path)) == ["rep.json", "under.csv"]
+
     def test_bad_search_flag_exits_3(self, data_csv, tmp_path):
         out = tmp_path / "r.json"
         assert main(_eval_args(data_csv, str(out), **{"--restarts": "0"})) == 3

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import bin_index
 from smlbayes import (
     DataError,
     Dataset,
@@ -24,7 +25,7 @@ from smlbayes import (
     load_csv,
     split,
 )
-from smlbayes.data import RawColumn, RawTable, bin_index, split_indices
+from smlbayes.data import RawColumn, RawTable, split_indices
 
 
 def _csv(text: str) -> bytes:

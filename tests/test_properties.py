@@ -186,8 +186,8 @@ def test_column_encoding_equals_per_cell_encoding(case):
         RawColumn("y", "categorical", ["p"] * len(numbers)),
     )
     want = [
-        [encoder.encode_value("n", "numeric", v) for v in numbers],
-        [encoder.encode_value("g", "categorical", v) for v in texts],
+        [oracles.encode_value(encoder, "n", "numeric", v) for v in numbers],
+        [oracles.encode_value(encoder, "g", "categorical", v) for v in texts],
     ]
     got = encoder.encode_predictor_rows(raw)
     assert got.dtype == np.int64 and got.shape == (len(numbers), 2)
