@@ -5,9 +5,9 @@ rules: unique header names, one field per name in every row, no empty cell,
 and finite numbers in numeric columns.
 
 Exit codes: 0 on success, 2 for input problems (unreadable or malformed
-data, or a model file whose tables disagree with its own encoder), 3 for
-configuration problems (bad flags or classifier specs, a partition search
-over no predictors, a prior whose scores are not finite, an infinite log loss).
+data or model files), 3 for configuration problems (bad flags or classifier
+specs, a partition search over no predictors, a prior whose scores are not
+finite, an infinite log loss).
 """
 
 from __future__ import annotations
@@ -17,18 +17,15 @@ import contextlib
 import csv
 import errno
 import json
-import math
 import os
 import shutil
 import sys
 
-import numpy as np
-
-from .data import NUMERIC, DatasetEncoder, fit_discretization, load_csv, read_columns
+from .data import DatasetEncoder, fit_discretization, load_csv, read_codes
 from .errors import ConfigError, DataError
-from .harness import ANB, PM, run_trials, spec_from_token, train_model
+from .harness import run_trials, spec_from_token, train_model
 from .model_io import load_model, model_to_json_dict
-from .scoring import PriorSpec
+from .scoring import PRIOR_TAGS, PriorSpec
 from .search import SearchConfig, pm_search
 
 EXIT_OK = 0
@@ -44,19 +41,18 @@ class _Parser(argparse.ArgumentParser):
 
 def parse_prior(text: str) -> PriorSpec:
     """uniform[:alpha] puts alpha on every cell; bdeu[:s] spreads s over the table."""
-    kind, _, value = text.partition(":")
+    tag, _, value = text.partition(":")
+    kinds = {t: kind for kind, t in PRIOR_TAGS.items()}
+    if tag not in kinds:
+        raise ConfigError(f"unknown prior {text!r}; expected uniform:A or bdeu:S")
     try:
         strength = float(value) if value else 1.0
     except ValueError:
         raise ConfigError(f"bad prior strength in {text!r}") from None
-    # nan, inf and subnormal strengths would turn scores and losses into nan
-    if not (math.isfinite(strength) and strength >= sys.float_info.min):
-        raise ConfigError("prior strength must be a finite, normal number > 0")
-    if kind == "uniform":
-        return PriorSpec.uniform_cell(strength)
-    if kind == "bdeu":
-        return PriorSpec.equivalent_sample_size(strength)
-    raise ConfigError(f"unknown prior {text!r}; expected uniform:A or bdeu:S")
+    try:
+        return PriorSpec(kinds[tag], strength)
+    except ValueError as exc:  # the strength rule
+        raise ConfigError(str(exc)) from None
 
 
 def _parse_bool(text: str) -> bool:
@@ -143,14 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_encoded(args, search: bool):
-    """The raw table, its encoder and its encoding; `search` says a partition
-    search will run on it, which needs at least one predictor."""
+def _load_encoded(args):
+    """The raw table, its encoder and its encoding."""
     raw = load_csv(args.data, args.class_col)
     if raw.n_rows == 0:
         raise DataError("CSV has no data rows")
-    if search and not raw.predictors:
-        raise ConfigError("search needs at least one predictor column")
     spec = fit_discretization(raw, args.bins)
     encoder = DatasetEncoder.fit(raw, spec)
     return raw, encoder, encoder.encode_table(raw)
@@ -232,7 +225,7 @@ def _cmd_eval(args) -> int:
         raise ConfigError("--classifiers must name at least one classifier")
     specs = [spec_from_token(t, prior, search) for t in tokens]
     global_disc = _parse_bool(args.global_discretize)
-    raw, _, data = _load_encoded(args, any(s.kind in (PM, ANB) for s in specs))
+    raw, _, data = _load_encoded(args)
     report = run_trials(
         data,
         specs,
@@ -256,7 +249,7 @@ def _cmd_eval(args) -> int:
 def _cmd_search(args) -> int:
     prior = parse_prior(args.prior)
     config = _search_config(args)
-    _, _, data = _load_encoded(args, True)
+    _, _, data = _load_encoded(args)
     result = pm_search(data, prior, config)
     payload = result.to_json_dict()
     payload["format_version"] = 1
@@ -273,41 +266,15 @@ def _cmd_search(args) -> int:
 
 def _cmd_train(args) -> int:
     spec = spec_from_token(args.classifier, parse_prior(args.prior), _search_config(args))
-    _, encoder, data = _load_encoded(args, spec.kind in (PM, ANB))
+    _, encoder, data = _load_encoded(args)
     _write_json(args.out, model_to_json_dict(train_model(spec, data), encoder))
     return EXIT_OK
 
 
-def _read_codes(path: str, encoder: DatasetEncoder) -> np.ndarray:
-    """Encode every row of the predictor CSV at `path`: an (n_rows, k) array.
-
-    Columns follow ``encoder.predictor_names``; the input's other columns
-    are skipped, and its column order is free.
-    """
-    names, kinds = encoder.predictor_names, encoder.kinds
-
-    def keep(header):
-        if header is None:
-            raise DataError("empty input CSV")
-        for name in names:
-            if name not in header:
-                raise DataError(f"missing predictor column {name!r}")
-        return [(name, kind == NUMERIC) for name, kind in zip(names, kinds)]
-
-    _, columns, n_rows = read_columns(path, keep)
-    return encoder.encode_columns(columns, n_rows)
-
-
 def _cmd_predict(args) -> int:
     model, encoder = load_model(args.model)
-    codes = _read_codes(args.input, encoder)
-    # the loader has checked that every table has the schema's class arity
-    r = encoder.schema().class_arity
-    # class columns can outnumber the observed class values when the schema
-    # was floored to binary; pad names by index in that case
-    value_names = list(encoder.class_values)
-    while len(value_names) < r:
-        value_names.append(f"class{len(value_names)}")
+    codes = read_codes(args.input, encoder)
+    value_names = encoder.class_labels()
 
     # opened only now, so input that fails to encode leaves no output file
     with _open_out(args.out, newline="") as fh:

@@ -4,8 +4,8 @@ Everything downstream works on integer-coded `Dataset` objects. This module
 owns the boundary between raw CSV text and that representation, plus the
 deterministic train/test split machinery used by the evaluation harness.
 
-`read_columns` is the one CSV reader, for `load_csv` and the CLI's predict
-input alike; `DatasetEncoder.encode_column` turns every column into codes.
+`read_columns` is the one CSV reader, for `load_csv` and `read_codes` alike;
+`DatasetEncoder.encode_column` turns every column into codes.
 """
 
 from __future__ import annotations
@@ -303,6 +303,23 @@ def load_csv(source, class_column: str) -> RawTable:
     return RawTable(predictors, RawColumn(class_column, CATEGORICAL, labels))
 
 
+def read_codes(source, encoder: DatasetEncoder) -> np.ndarray:
+    """Encode every row of the predictor CSV `source`: an (n_rows, k) array.
+
+    Columns follow ``encoder.predictor_names``; the input's other columns
+    are skipped, and its column order is free.
+    """
+
+    def keep(header):
+        if header is None:
+            raise DataError("empty input CSV")
+        encoder.check_columns(header)
+        return [(name, kind == NUMERIC) for name, kind in zip(encoder.predictor_names, encoder.kinds)]
+
+    _, columns, n_rows = read_columns(source, keep)
+    return encoder.encode_columns(columns, n_rows)
+
+
 def fit_equal_frequency(values: Sequence[float], bins: int) -> list[float]:
     """Pick cut points at order statistics giving near-equal bin occupancy.
 
@@ -365,7 +382,7 @@ class DiscretizationSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DiscretizationSpec":
-        return cls({k: tuple(v) for k, v in d["cut_points"].items()}, int(d["bins"]))
+        return cls({k: tuple(v) for k, v in d["cut_points"].items()}, operator.index(d["bins"]))
 
 
 def fit_discretization(raw: RawTable, bins: int = 3) -> DiscretizationSpec:
@@ -442,12 +459,12 @@ class DatasetEncoder:
             else:
                 # floor of 1 keeps empty tables representable
                 arities.append(max(len(self.categories[name]), 1))
-        return Schema(
-            self.predictor_names,
-            tuple(arities),
-            self.class_name,
-            max(len(self.class_values), 2),
-        )
+        return Schema(self.predictor_names, tuple(arities), self.class_name, len(self.class_labels()))
+
+    def class_labels(self) -> list[str]:
+        """The class values, padded with ``class{i}`` to the schema's floor of two."""
+        names = list(self.class_values)
+        return names + [f"class{i}" for i in range(len(names), 2)]
 
     def encode_value(self, name: str, kind: str, value) -> int:
         # one cell's code; kept because the benchmark's tracer counts it by name
@@ -473,12 +490,16 @@ class DatasetEncoder:
             codes[:, j] = self.encode_column(name, kind, values)
         return codes
 
+    def check_columns(self, names) -> None:
+        """Raise `DataError` unless every predictor is among `names`."""
+        for name in self.predictor_names:
+            if name not in names:
+                raise DataError(f"missing predictor column {name!r}")
+
     def encode_predictor_rows(self, raw: RawTable) -> np.ndarray:
         """Encode predictor columns only; may contain out-of-range sentinels."""
         by_name = {c.name: c.values for c in raw.predictors}
-        for name in self.predictor_names:
-            if name not in by_name:
-                raise DataError(f"missing predictor column {name!r}")
+        self.check_columns(by_name)
         return self.encode_columns([by_name[name] for name in self.predictor_names], raw.n_rows)
 
     def encode_table(self, raw: RawTable) -> Dataset:

@@ -32,7 +32,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError
 from .scoring import PriorSpec
-from .search import SearchConfig, SearchResult, pm_search
+from .search import SearchConfig, SearchResult, check_searchable, pm_search
 
 FORMAT_VERSION = 1
 
@@ -214,6 +214,8 @@ def run_trials(
         raise ConfigError("classifier names must be distinct")
     if raw is not None and raw.n_rows != data.n_rows:
         raise DataError("raw table and encoded dataset disagree on row count")
+    if any(s.kind in (PM, ANB) for s in specs):
+        check_searchable(data)
 
     class_values = None
     if raw is not None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from .classifiers import (
     NBClassifier,
 )
 from .data import DatasetEncoder, Schema
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .scoring import CountTable, PriorSpec, check_subset, int_array
 from .search import singleton_partition, validate_partition
 
@@ -107,7 +108,8 @@ def model_from_json_dict(d: dict):
             cls, partition = NBClassifier, singleton_partition(schema.n_predictors)
             tables = tuple(_singleton_table(i, t, schema.class_arity) for i, t in enumerate(d["tables"]))
         else:
-            cls, partition = ANBClassifier, validate_partition(d["partition"], schema.n_predictors)
+            members = [list(map(operator.index, b)) for b in d["partition"]]
+            cls, partition = ANBClassifier, validate_partition(members, schema.n_predictors)
             tables = tuple(CountTable.from_json_dict(t) for t in d["block_tables"])
         model = cls(schema, partition, class_counts, _checked(tables, schema), prior)
     elif kind == "mixture":
@@ -133,8 +135,8 @@ def load_model(path: str | Path):
         raise DataError(f"cannot read model file {path}: not valid UTF-8 ({exc.reason})") from None
     try:
         return model_from_json_dict(json.loads(text))
-    except (KeyError, ValueError, TypeError, AttributeError, OverflowError) as exc:
-        # fields of the wrong type (null, a list for an object) surface as
-        # TypeError or AttributeError somewhere inside the rebuild, and an
-        # integer past int64 as OverflowError
+    except (KeyError, ValueError, TypeError, AttributeError, OverflowError, ConfigError) as exc:
+        # a field of the wrong type (null, a list for an object) surfaces as
+        # TypeError or AttributeError inside the rebuild, an integer past int64
+        # as OverflowError, a prior the tables cannot be scored under as ConfigError
         raise DataError(f"malformed model file {path}: {exc}") from exc

@@ -23,6 +23,8 @@ from .errors import ConfigError
 
 UNIFORM_CELL = "uniform_cell"
 EQUIVALENT_SAMPLE_SIZE = "equivalent_sample_size"
+# each prior kind's short name: `describe` writes it and --prior reads it
+PRIOR_TAGS = {UNIFORM_CELL: "uniform", EQUIVALENT_SAMPLE_SIZE: "bdeu"}
 
 # prior cell mass below this log is handled through the small-argument
 # limit of the gamma ratios instead of raw floats
@@ -77,10 +79,11 @@ class PriorSpec:
     strength: float
 
     def __post_init__(self) -> None:
-        if self.kind not in (UNIFORM_CELL, EQUIVALENT_SAMPLE_SIZE):
+        if self.kind not in PRIOR_TAGS:
             raise ValueError(f"unknown prior kind {self.kind!r}")
-        if not self.strength > 0:
-            raise ValueError("prior strength must be > 0")
+        # nan, inf and subnormal strengths would turn scores and losses into nan
+        if not (math.isfinite(self.strength) and self.strength >= _TINY):
+            raise ValueError("prior strength must be a finite, normal number > 0")
 
     @classmethod
     def uniform_cell(cls, alpha: float = 1.0) -> "PriorSpec":
@@ -122,8 +125,7 @@ class PriorSpec:
         return cell, log_cell, mass, log_mass
 
     def describe(self) -> str:
-        tag = "uniform" if self.kind == UNIFORM_CELL else "bdeu"
-        return f"{tag}:{self.strength:g}"
+        return f"{PRIOR_TAGS[self.kind]}:{self.strength:g}"
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "strength": self.strength}

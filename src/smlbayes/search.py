@@ -322,6 +322,12 @@ def _initial_partition(n: int, mode: str, rng: BoundedDraws) -> Partition:
     return canonical_partition(blocks.values())
 
 
+def check_searchable(data: Dataset) -> None:
+    """Raise `ConfigError` unless `data` has a predictor to partition."""
+    if data.schema.n_predictors < 1:
+        raise ConfigError("search needs at least one predictor column")
+
+
 def pm_search(train: Dataset, prior: PriorSpec, config: SearchConfig) -> SearchResult:
     """Restarted greedy hill climb; accepts strict improvements only.
 
@@ -329,9 +335,8 @@ def pm_search(train: Dataset, prior: PriorSpec, config: SearchConfig) -> SearchR
     Ties across restarts resolve to the earliest restart. Deterministic for a
     given config seed.
     """
+    check_searchable(train)
     n = train.schema.n_predictors
-    if n < 1:
-        raise ValueError("search needs at least one predictor")
     scorer = PartitionScorer(train, prior)
     movable = n >= 2 and (config.max_block_size is None or config.max_block_size >= 2)
 

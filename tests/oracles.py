@@ -278,7 +278,7 @@ def propose_move_oracle(partition, rng: np.random.Generator, max_block_size: int
 
 
 # --- the CSV readers as they were before `data.read_columns` served both:
-# `load_csv` and `cli._read_codes` (here `read_codes`) with the helpers they
+# `load_csv` and the predict reader (here `read_codes`) with the helpers they
 # used, kept verbatim so the shared reader can be checked against them
 
 

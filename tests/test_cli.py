@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from smlbayes.classifiers import NBClassifier
-from smlbayes.cli import _read_codes, main, parse_prior
+from smlbayes.cli import main, parse_prior
+from smlbayes.data import read_codes
 from smlbayes.errors import ConfigError
 from smlbayes.model_io import load_model
 from smlbayes.scoring import PriorSpec
@@ -283,7 +284,7 @@ class TestTrainPredict:
         writer = csv.writer(ref)
         names = list(encoder.class_values)
         writer.writerow([f"p_{v}" for v in names] + ["predicted"])
-        for x in _read_codes(str(tmp_path / "new.csv"), encoder):
+        for x in read_codes(str(tmp_path / "new.csv"), encoder):
             dist = model.predict(x)
             writer.writerow([repr(float(p)) for p in dist] + [names[int(np.argmax(dist))]])
         assert (tmp_path / "pred.csv").read_bytes() == ref.getvalue().encode("utf-8")
@@ -555,6 +556,8 @@ class TestTrainPredict:
             ("om1", "float config"),
             ("om1", "float count"),
             ("om1", "float q"),
+            ("om1", "float bins"),
+            ("anb", "float partition"),
             ("nb", "float count"),
             ("anb", "float class count"),
             ("anb", "reversed configs"),
@@ -594,8 +597,20 @@ class TestTrainPredict:
             table["q"] += 0.5
         elif fault == "float class count":
             payload["class_counts"][0] += 0.5
+        elif fault == "float bins":
+            payload["encoder"]["discretization"]["bins"] += 0.9
+        elif fault == "float partition":
+            payload["partition"][0][0] += 0.5
         else:
             payload["schema"]["predictor_arities"][1] += 1
+        model_path.write_text(json.dumps(payload), encoding="utf-8")
+        self._assert_malformed_model(tmp_path, model_path, capsys, "a,b\n2,x\n")
+
+    @pytest.mark.parametrize("strength", [math.inf, "inf", 1e-320])
+    @pytest.mark.parametrize("classifier", ["nb", "anb", "om1"])
+    def test_model_prior_strength_that_cannot_score_exits_2(self, tmp_path, capsys, classifier, strength):
+        model_path, payload = self._train_ab(tmp_path, classifier)
+        payload["prior"]["strength"] = strength
         model_path.write_text(json.dumps(payload), encoding="utf-8")
         self._assert_malformed_model(tmp_path, model_path, capsys, "a,b\n2,x\n")
 

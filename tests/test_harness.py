@@ -182,6 +182,17 @@ class TestRunTrials:
         with pytest.raises(DataError, match="empty test"):
             run_trials(data, [ClassifierSpec("nb", UNIFORM)], trials=1, train_fraction=0.75)
 
+    @pytest.mark.parametrize("kind", ["pm", "anb"])
+    def test_search_without_predictors_raises_before_splitting(self, kind):
+        # 3 rows at 0.75 put every row in the training half, so a split
+        # would end in DataError; the search check comes first
+        data = Dataset(Schema((), (), "y", 2), np.zeros((3, 0)), np.array([0, 1, 0]))
+        with pytest.raises(DataError, match="empty test"):
+            run_trials(data, [ClassifierSpec("nb", UNIFORM)], trials=1, train_fraction=0.75)
+        specs = [ClassifierSpec("nb", UNIFORM), ClassifierSpec(kind, UNIFORM, search=SEARCH)]
+        with pytest.raises(ConfigError, match="^search needs at least one predictor column$"):
+            run_trials(data, specs, trials=1, train_fraction=0.75)
+
     def test_per_trial_rediscretization(self):
         text = "a,cls\n" + "\n".join(
             f"{v},{'p' if v > 10 else 'q'}" for v in range(1, 22)

@@ -52,8 +52,7 @@ from smlbayes import (
     zero_one_loss,
 )
 from smlbayes import DataError, load_csv, search
-from smlbayes.cli import _read_codes
-from smlbayes.data import RawColumn, RawTable
+from smlbayes.data import RawColumn, RawTable, read_codes
 from smlbayes.model_io import model_from_json_dict, model_to_json_dict
 from smlbayes.scoring import _lgamma, _log_sum_exp
 
@@ -325,7 +324,7 @@ def test_predict_reader_equals_the_old_reader(case, data):
     (see `_SPELT`)."""
     header, numeric, source = case
     encoder = data.draw(predict_encoders(header or [], numeric))
-    got = _outcome(_read_codes, source, encoder)
+    got = _outcome(read_codes, source, encoder)
     want = _old_outcome(oracles.read_codes, source, encoder)
     if not isinstance(got, str):
         assert not isinstance(want, str), want

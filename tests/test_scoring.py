@@ -42,6 +42,15 @@ def _binary_data(rows, labels):
     )
 
 
+class TestPriorSpec:
+    @pytest.mark.parametrize("strength", [math.inf, math.nan, 1e-320])
+    @pytest.mark.parametrize("make", [PriorSpec.uniform_cell, PriorSpec.equivalent_sample_size])
+    def test_strength_not_finite_and_normal_raises(self, make, strength):
+        # the message the CLI prints for --prior uniform:inf and the like
+        with pytest.raises(ValueError, match=r"^prior strength must be a finite, normal number > 0$"):
+            make(strength)
+
+
 class TestBuildCountTable:
     def test_empty_subset_pools_all_rows(self):
         data = _binary_data([[0], [1], [0]], [0, 0, 1])

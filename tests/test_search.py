@@ -128,6 +128,11 @@ class TestProposeMove:
 
 
 class TestPmSearch:
+    def test_zero_predictors_raise_config_error(self):
+        data = Dataset(Schema((), (), "y", 2), np.zeros((4, 0)), np.array([0, 1, 0, 1]))
+        with pytest.raises(ConfigError, match="^search needs at least one predictor column$"):
+            pm_search(data, UNIFORM, SearchConfig(restarts=1, patience=5, seed=1))
+
     def test_single_predictor_short_circuits(self):
         rng = np.random.default_rng(15)
         data = random_dataset(rng, 20, (3,), 2)
