@@ -19,11 +19,13 @@ Each model compiles itself on its first prediction: every smoothed row it
 can read is computed once and stacked into one read-only table
 (`_StackedRows`), so a prediction is a handful of array operations on the
 rows x's configurations select. The compiled form is cached on the model;
-treat a model as immutable once it has predicted.
+treat a model as immutable once it has predicted. Each model also memoizes
+its prediction per distinct row, so a repeated row is one dict lookup.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -49,6 +51,31 @@ ClassDistribution = np.ndarray
 # floor for prior cell mass that underflowed float range; keeps predictions
 # strictly positive at the cost of (immeasurably) distorting that edge case
 _CELL_FLOOR = np.finfo(float).tiny
+
+
+# distinct rows a model memoizes; past that (numeric bins, say) it drops the memo
+_MEMO_MAX = 1024
+
+
+def _memoized(compute):
+    """`compute` once per distinct 1-D int64 row (keyed by its bytes), kept
+    read-only in `_memo`; returns a fresh copy. Other shapes skip the memo."""
+
+    @functools.wraps(compute)
+    def predict(self, x: Sequence[int]) -> ClassDistribution:
+        memo = vars(self).setdefault("_memo", {})
+        row = None if memo is None else np.asarray(x, dtype=np.int64)
+        if row is None or row.ndim != 1:
+            return compute(self, x)
+        dist = memo.get(key := row.tobytes())
+        if dist is None:
+            dist = memo[key] = compute(self, row)
+            dist.flags.writeable = False
+            if len(memo) > _MEMO_MAX:
+                self._memo = None
+        return dist.copy()
+
+    return predict
 
 
 # one lookup block: (subset, stored configurations, their rows, unseen row)
@@ -166,6 +193,7 @@ class DiagnosticClassifier:
     table: CountTable
     prior: PriorSpec
 
+    @_memoized
     def predict(self, x: Sequence[int]) -> ClassDistribution:
         """The predictive row of x's configuration (see `_diag_block`)."""
         return self._compiled.gather(x)[0]
@@ -202,6 +230,7 @@ class MixtureClassifier:
         """One diagnostic model per table, for callers that inspect members."""
         return tuple(DiagnosticClassifier(t, self.prior) for t in self.tables)
 
+    @_memoized
     def predict(self, x: Sequence[int]) -> ClassDistribution:
         """Average the component predictions in probability space."""
         weights, rows = self._compiled
@@ -301,6 +330,7 @@ class ANBClassifier:
             if not np.array_equal(table.counts.sum(axis=0), counts):
                 raise ValueError(f"block {list(block)} disagrees with the class counts")
 
+    @_memoized
     def predict(self, x: Sequence[int]) -> ClassDistribution:
         """Bayes rule in log space, one factor per block's joint configuration.
 

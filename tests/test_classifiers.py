@@ -27,7 +27,7 @@ from smlbayes import (
     singleton_partition,
 )
 from scipy.special import logsumexp
-from smlbayes.classifiers import _StackedRows
+from smlbayes.classifiers import _MEMO_MAX, _StackedRows
 
 UNIFORM = PriorSpec.uniform_cell(1.0)
 ESS2 = PriorSpec.equivalent_sample_size(2.0)
@@ -384,3 +384,60 @@ class TestStackedRows:
         # the big block carries the stacked key range past 2**64
         mixed = self._check([blocks[0], big, *blocks[1:]], values)
         assert mixed._ends.dtype == object and mixed._ends[-1] == 1 + (2**40 + 2) ** 2 + 25
+
+
+class TestPredictMemo:
+    """Each model computes a distinct row once and answers repeats from its memo."""
+
+    @staticmethod
+    def _models():
+        rng = np.random.default_rng(7)
+        data = random_dataset(rng, 40, (3, 3), 3)
+        return [
+            DiagnosticClassifier(build_count_table(data, (0, 1)), UNIFORM),
+            build_nb(data, ESS2),
+            build_omi(data, 1, UNIFORM),
+            build_anb([[0, 1]], data, ESS2),
+        ]
+
+    @staticmethod
+    def _unmemoized(model, x):
+        return type(model).predict.__wrapped__(model, x)
+
+    def test_memo_is_dropped_past_its_bound(self):
+        # values past the arity read the unseen rows but are distinct rows
+        rows = [np.array([v, v % 3], dtype=np.int64) for v in range(_MEMO_MAX + 1)]
+        for model in self._models():
+            first = [model.predict(x) for x in rows[:_MEMO_MAX]]
+            assert len(model._memo) == _MEMO_MAX
+            first.append(model.predict(rows[-1]))
+            assert model._memo is None
+            for x, got in zip(rows, first):
+                want = self._unmemoized(model, x)
+                assert (got == want).all() and (model.predict(x) == want).all()
+            assert model._memo is None
+
+    def test_other_shapes_skip_the_memo(self):
+        x = np.array([1, 2], dtype=np.int64)
+        for model in self._models():
+            model.predict(x)
+            # x's bytes as a column and as a one-row matrix, and a scalar
+            for other in (x.reshape(2, 1), x.reshape(1, 2), np.array(1)):
+                try:
+                    want = self._unmemoized(model, other)
+                except IndexError:
+                    with pytest.raises(IndexError):
+                        model.predict(other)
+                else:
+                    got = model.predict(other)
+                    assert got.shape == want.shape and (got == want).all()
+            assert list(model._memo) == [x.tobytes()]
+
+    def test_writing_into_a_result_never_changes_a_later_hit(self):
+        for model in self._models():
+            for x in ([0, 1], np.array([0, 1]), [5, -1]):
+                want = self._unmemoized(model, x)
+                for _ in range(3):
+                    got = model.predict(x)
+                    assert got.flags.writeable and (got == want).all()
+                    got[...] = -1.0

@@ -532,6 +532,41 @@ def test_compiled_predict_equals_per_row_oracle_on_both_sides_of_uint64_keys(cas
         _assert_predicts_like_oracle(model, queries)
 
 
+@st.composite
+def models_on_keys_near_two_to_the_64(draw):
+    """Every kind trained on `keys_near_two_to_the_64`'s data, and its queries."""
+    data, queries = draw(keys_near_two_to_the_64())
+    m = data.schema.n_predictors - 2
+    partition = [list(range(m)), [m], [m + 1]]
+    prior = draw(st.sampled_from([PriorSpec.uniform_cell(1.0), PriorSpec.equivalent_sample_size(1.0)]))
+    models = {
+        "diagnostic": DiagnosticClassifier(build_count_table(data, range(m)), prior),
+        "nb": build_nb(data, prior),
+        "anb": build_anb(partition, data, prior),
+        "pm": build_pm_mixture(partition, data, prior),
+    }
+    return models, queries
+
+
+@settings(max_examples=200, deadline=None)
+@given(models_and_rows() | models_on_keys_near_two_to_the_64(), st.data())
+def test_memoized_predict_equals_the_unmemoized_computation(case, draw):
+    # rows repeat: each call takes one from a small pool (negative codes, the
+    # unseen sentinel and object keys included), as a list or an array row
+    models, pool = case
+    arrays = np.array(pool, dtype=np.int64).reshape(len(pool), len(pool[0]))
+    picks = draw.draw(st.lists(
+        st.tuples(st.integers(0, len(pool) - 1), st.booleans()), min_size=1, max_size=20))
+    for model in models.values():
+        compute, oracle = type(model).predict.__wrapped__, ORACLES[type(model)]
+        for i, as_array in picks:
+            x = arrays[i] if as_array else pool[i]
+            got, want = model.predict(x), compute(model, x)
+            assert got.shape == want.shape and (got == want).all(), (x, got, want)
+            assert (want == oracle(model, x)).all()
+        assert len(model._memo) == len({tuple(pool[i]) for i, _ in picks})
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
 def test_prior_mass_beyond_float_range(seed, n):
