@@ -59,14 +59,16 @@ _MEMO_MAX = 1024
 
 def _memoized(compute):
     """`compute` once per distinct 1-D int64 row (keyed by its bytes), kept
-    read-only in `_memo`; returns a fresh copy. Other shapes skip the memo."""
+    read-only in `_memo`; returns a fresh copy. Other shapes raise ValueError."""
 
     @functools.wraps(compute)
     def predict(self, x: Sequence[int]) -> ClassDistribution:
+        row = np.asarray(x, dtype=np.int64)
+        if row.ndim != 1:
+            raise ValueError(f"predict takes one 1-D row, got shape {row.shape}")
         memo = vars(self).setdefault("_memo", {})
-        row = None if memo is None else np.asarray(x, dtype=np.int64)
-        if row is None or row.ndim != 1:
-            return compute(self, x)
+        if memo is None:
+            return compute(self, row)
         dist = memo.get(key := row.tobytes())
         if dist is None:
             dist = memo[key] = compute(self, row)

@@ -9,6 +9,7 @@ given seed.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -33,7 +34,7 @@ _RESTART_STREAM = 0x5EA2C4B7
 
 def canonical_partition(blocks: Sequence[Sequence[int]]) -> Partition:
     """Sort members within blocks and blocks by first member."""
-    return tuple(sorted((tuple(sorted(int(i) for i in b)) for b in blocks)))
+    return tuple(sorted(tuple(sorted(map(operator.index, b))) for b in blocks))
 
 
 def validate_partition(partition: Sequence[Sequence[int]], n_predictors: int) -> Partition:
@@ -211,27 +212,26 @@ def _move_table(partition: Partition, max_block_size: int | None) -> tuple[_Move
 
 class BoundedDraws:
     """Draws `integers(n)` from a bit generator's raw stream, each equal to
-    what `np.random.Generator(bit_generator).integers(n)` would draw.
+    what `np.random.Generator(bit_generator).integers(n)` would draw, for the
+    bounds a search draws: a move kind, an operand, a block index, all < 2**32.
 
     NumPy keeps each bit generator's stream stable across releases (NEP 19),
     but not the algorithm `Generator.integers` runs over it, so the search
     runs that algorithm itself. It is Lemire's multiply-shift with rejection
-    (default int64 dtype, unmasked): n = 1 draws nothing; for n < 2**32, a
-    32-bit half u of the stream gives (u * n) >> 32 unless the low 32 bits of
-    u * n fall below (2**32 - n) % n, which draws again; n = 2**32 is u
-    itself. The halves of each 64-bit raw value come low first, and a high
-    half left over is kept for the next 32-bit draw. For n > 2**32 the same
-    rule runs over a whole 64-bit value, which leaves a kept half in place.
+    (default int64 dtype, unmasked): n = 1 draws nothing; otherwise a 32-bit
+    half u of the stream gives (u * n) >> 32 unless the low 32 bits of u * n
+    fall below (2**32 - n) % n, which draws again. The halves of each 64-bit
+    raw value come low first, and a high half left over is kept for the next draw.
     """
 
     _BLOCK = 64  # raw values fetched per call to `random_raw`
 
     def __init__(self, bit_generator: np.random.BitGenerator):
         self._raw = bit_generator.random_raw
-        self._halves = iter(())  # an optional kept high half, then whole values as (low, high)
+        self._halves = iter(())  # the 32-bit halves of the fetched raw values, low first
 
     def integers(self, n: int) -> int:
-        """One draw from range(n), for a Python int n (its products must not wrap)."""
+        """One draw from range(n), for a Python int n in 1..2**32 - 1."""
         if 1 < n < 2**32:
             # the common case, inlined: one half, one multiply, one mask
             try:
@@ -245,64 +245,34 @@ class BoundedDraws:
             return m >> 32
         if n == 1:
             return 0
-        if n == 2**32:
-            return self._half()
-        if not 1 <= n <= 2**63:
-            raise ValueError(f"bound {n} outside 1..2**63")
-        m = self._whole() * n
-        if m & (2**64 - 1) < n:
-            threshold = (2**64 - n) % n
-            while m & (2**64 - 1) < threshold:
-                m = self._whole() * n
-        return m >> 64
-
-    def _refill(self) -> list[int]:
-        raw = self._raw(self._BLOCK)
-        return np.stack((raw & (2**32 - 1), raw >> 32), axis=1).ravel().tolist()
+        raise ValueError(f"bound {n} outside 1..2**32 - 1")
 
     def _half(self) -> int:
         try:
             return next(self._halves)
         except StopIteration:
-            self._halves = iter(self._refill())
+            raw = self._raw(self._BLOCK)
+            self._halves = iter(np.stack((raw & (2**32 - 1), raw >> 32), axis=1).ravel().tolist())
             return next(self._halves)
-
-    def _whole(self) -> int:
-        rest = list(self._halves)
-        kept, pairs = rest[: len(rest) % 2], rest[len(rest) % 2 :]
-        if not pairs:
-            pairs = self._refill()
-        self._halves = iter(kept + pairs[2:])
-        return pairs[0] | pairs[1] << 32
-
-
-# the last tuple partition proposed from, its cap and its move table: a hill
-# climb proposes from one partition object until it accepts, so most calls
-# neither rebuild nor hash the table's key
-_last_table: list = [((), None, ())]
 
 
 def propose_move(
     partition: Sequence[Sequence[int]],
     rng: np.random.Generator | BoundedDraws,
     max_block_size: int | None = None,
+    moves: tuple[_MoveKind, ...] | None = None,
 ) -> Partition:
     """Draw one neighboring partition: relocate, split off, or merge.
 
     The move kind is chosen uniformly among the kinds applicable to the
     current partition, then its operands uniformly among the valid choices,
     so the result is always a valid partition different from the input.
-    Operands are enumerated in the given block order.
+    Operands are enumerated in the given block order. `moves`, if given, must
+    equal `_move_table(partition, max_block_size)`: it spares the lookup.
     """
-    last = _last_table[0]
-    if partition is last[0] and max_block_size == last[1]:
-        kinds = last[2]
-    else:
-        part = tuple(map(tuple, partition))
-        kinds = _move_table(part, max_block_size)
-        if part == partition:  # a tuple of tuples cannot change: keep it by identity
-            _last_table[0] = (partition, max_block_size, kinds)
-    apply, operands, candidates = kinds[rng.integers(len(kinds))]
+    if moves is None:
+        moves = _move_table(tuple(map(tuple, partition)), max_block_size)
+    apply, operands, candidates = moves[rng.integers(len(moves))]
     i = rng.integers(len(operands))
     candidate = candidates[i]
     if candidate is None:
@@ -351,7 +321,9 @@ def pm_search(train: Dataset, prior: PriorSpec, config: SearchConfig) -> SearchR
         rejections = 0
         proposals = 0
         while movable and rejections < config.patience:
-            candidate = propose_move(part, rng, config.max_block_size)
+            if rejections == 0:  # a restart's first partition, or one just accepted
+                moves = _move_table(part, config.max_block_size)
+            candidate = propose_move(part, rng, config.max_block_size, moves)
             cand_score = scorer.score(candidate)
             proposals += 1
             if cand_score.log_value > score.log_value:

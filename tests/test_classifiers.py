@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -423,14 +424,8 @@ class TestPredictMemo:
             model.predict(x)
             # x's bytes as a column and as a one-row matrix, and a scalar
             for other in (x.reshape(2, 1), x.reshape(1, 2), np.array(1)):
-                try:
-                    want = self._unmemoized(model, other)
-                except IndexError:
-                    with pytest.raises(IndexError):
-                        model.predict(other)
-                else:
-                    got = model.predict(other)
-                    assert got.shape == want.shape and (got == want).all()
+                with pytest.raises(ValueError, match=re.escape(str(other.shape))):
+                    model.predict(other)
             assert list(model._memo) == [x.tobytes()]
 
     def test_writing_into_a_result_never_changes_a_later_hit(self):

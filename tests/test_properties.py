@@ -645,6 +645,7 @@ def _step(propose, part, rng, cap):
 def test_memoized_moves_walk_like_the_enumerating_oracle(case, seed, steps):
     part, cap = case
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    table_rng = np.random.default_rng(seed)
     for _ in range(steps):
         got = _step(search.propose_move, part, rng, cap)
         want = _step(propose_move_oracle, part, oracle_rng, cap)
@@ -652,6 +653,9 @@ def test_memoized_moves_walk_like_the_enumerating_oracle(case, seed, steps):
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
         if isinstance(want, str):
             break
+        # the caller's move table draws as the looked-up one does
+        assert search.propose_move(part, table_rng, cap, search._move_table(part, cap)) == got
+        assert table_rng.bit_generator.state == rng.bit_generator.state
         part = got
 
 
@@ -674,7 +678,10 @@ def test_search_reports_equal_the_enumerating_oracle_run(seed, arities, r, n_row
         init_mode=draw.draw(st.sampled_from(["singletons", "random"])),
     )
     result = search.pm_search(data, prior, config)
-    with mock.patch.object(search, "propose_move", propose_move_oracle):
+    def oracle(partition, rng, cap, moves):  # the oracle enumerates its own moves
+        return propose_move_oracle(partition, rng, cap)
+
+    with mock.patch.object(search, "propose_move", oracle):
         want = search.pm_search(data, prior, config)
     assert result.to_json_dict() == want.to_json_dict()
     assert result.best_score == score_partition(result.best_partition, data, prior)
@@ -721,14 +728,12 @@ def test_log_sum_exp_matches_mpmath(values):
 
 
 # bounds for the stream: no draw at 1, small ones, ones near 2**31 (where
-# about half the 32-bit draws are rejected), the 32-bit edge, and whole
-# 64-bit draws above it, up to int64's own limit
+# about half the 32-bit draws are rejected) and the largest, 2**32 - 1
 _BOUNDS = st.one_of(
     st.just(1),
     st.integers(2, 100),
     st.integers(2**31 - 64, 2**31 + 64),
-    st.sampled_from([2**32 - 1, 2**32, 2**32 + 1, 2**63]),
-    st.integers(2**32 + 2, 2**63 - 1),
+    st.just(2**32 - 1),
 )
 
 

@@ -49,6 +49,12 @@ class TestPartitionValidation:
             with pytest.raises(ValueError):
                 validate_partition(bad, 3)
 
+    def test_rejects_members_that_are_not_integers(self):
+        # a float member is not truncated, nor a string read as its number
+        for bad in ([[0.5], [1, 2]], [["1"], [0, 2]]):
+            with pytest.raises(TypeError):
+                validate_partition(bad, 3)
+
     def test_enumerator_matches_bell_numbers(self):
         for n, bell in [(1, 1), (2, 2), (3, 5), (4, 15)]:
             assert len(list(set_partitions(list(range(n))))) == bell
@@ -224,13 +230,17 @@ class TestGoldenDraws:
 
     def test_search_stream(self):
         # in-repo bounded draws over PCG64's raw stream, which NEP 19 keeps stable
-        bounds = [1, 2, 3, 7, 10, 100, 2**31 + 1, 2**32 - 1, 2**32, 5,
-                  2**40, 6, 2**63, 17, 1, 4, 9, 1000, 2**31, 3]
+        bounds = [1, 2, 3, 7, 10, 100, 2**31 + 1, 2**32 - 1, 5, 6, 17, 1, 4, 9, 1000, 2**31, 3]
         draws = BoundedDraws(np.random.PCG64(20130601))
         assert [draws.integers(n) for n in bounds] == [
-            0, 0, 0, 4, 1, 95, 2025178271, 1094721480, 639002505, 4,
-            975358109720, 4, 6450902180191085454, 6, 0, 2, 5, 55, 1382958360, 0,
+            0, 0, 0, 4, 1, 95, 2025178271, 1094721480, 0, 5, 11, 0, 0, 7, 524, 1501967706, 1,
         ]
+
+    def test_bounds_outside_the_search_range_raise(self):
+        draws = BoundedDraws(np.random.PCG64(20130601))
+        for n in (0, -1, 2**32, 2**63 + 1):
+            with pytest.raises(ValueError, match="outside 1..2\\*\\*32 - 1"):
+                draws.integers(n)
 
     def test_split(self):
         # NumPy's Generator.permutation, which NumPy may change between releases
