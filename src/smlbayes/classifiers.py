@@ -40,7 +40,6 @@ from .scoring import (
     CountTable,
     PriorSpec,
     _log_sum_exp,
-    _run_edges,
     build_count_table,
     log_sml,
 )
@@ -100,13 +99,16 @@ class _StackedRows:
     largest stored value, so a larger value (such as the unseen-level
     sentinel) or a negative one gives a key no stored configuration has.
 
-    That range is cut into intervals, each holding one row: [k, k + 1) for
-    every stored key k, and the block's unseen row for each gap between
-    them. `_ends` holds every interval's end in ascending order, the last
-    being top, and `table` the row of each interval, so a gather is one
-    `searchsorted` and one `take`. The keys are uint64 while top
-    stays below 2**64 and Python ints in an object array past it: the same
-    code, only slower.
+    That range is cut into intervals, each holding one row. A block with
+    stored keys k1 < ... < kn has 2n + 1 of them, ending in turn at k1,
+    k1 + 1, ..., kn, kn + 1 and the next block's base (top for the last
+    block): its unseen row in every gap, and [k, k + 1) holding k's row. A
+    gap may be empty (a first key at the base, adjacent keys, the empty
+    subset), and a right-side search never lands in one. `_ends` holds every
+    interval's end in ascending order, the last being top, and `table` the
+    row of each interval, so a gather is one `searchsorted` and one `take`.
+    The keys are uint64 while top stays below 2**64 and Python ints in an
+    object array past it: the same code, only slower.
     """
 
     def __init__(self, blocks: Sequence[_Block]) -> None:
@@ -117,8 +119,7 @@ class _StackedRows:
         # (present whenever members > 0) with stride 0
         self._pos = np.zeros((members, n_blocks), dtype=np.intp)
         self._cap = np.zeros((members, n_blocks), dtype=np.uint64)
-        strides, bases = [[0] * n_blocks for _ in range(members)], []
-        top = 0
+        strides, bounds = [[0] * n_blocks for _ in range(members)], [0]
         for c, (subset, configs, _, _) in enumerate(blocks):
             caps = (configs.max(axis=0, initial=-1) + 1).tolist()
             span = 1
@@ -127,40 +128,24 @@ class _StackedRows:
                 span *= caps[j] + 1
             self._pos[:len(subset), c] = subset
             self._cap[:len(caps), c] = caps
-            bases.append(top)
-            top += span
-        dtype = np.uint64 if top < 2**64 else object
+            bounds.append(bounds[-1] + span)
+        dtype = np.uint64 if bounds[-1] < 2**64 else object
         self._stride = np.array(strides, dtype=dtype).reshape(members, n_blocks)
-        self._base = np.array(bases, dtype=dtype)
-        self._ends, rows = self._intervals(blocks, top)
-        stacked = np.concatenate([*(b[2] for b in blocks), np.stack([b[3] for b in blocks])])
-        self.table = stacked.take(rows, axis=0)
+        bounds = np.array(bounds, dtype=dtype)
+        self._base = bounds[:-1]
+        # stored key i of block b ends its gap at 2i + b and its own
+        # interval at 2i + b + 1; the block's last gap ends at the next base
+        n_keys = np.array([len(b[1]) for b in blocks])
+        keys = np.concatenate([b[1].astype(dtype) @ s[:len(b[0])] + base
+                               for b, s, base in zip(blocks, self._stride.T, self._base)])
+        gap = 2 * np.arange(len(keys)) + np.repeat(np.arange(n_blocks), n_keys)
+        self._ends = np.empty(2 * len(keys) + n_blocks, dtype=dtype)
+        self._ends[gap], self._ends[gap + 1] = keys, keys + 1
+        self._ends[2 * np.cumsum(n_keys) + np.arange(n_blocks)] = bounds[1:]
+        self.table = np.repeat(np.array([b[3] for b in blocks]), 2 * n_keys + 1, axis=0)
+        self.table[gap + 1] = np.concatenate([b[2] for b in blocks])
         for a in (self._pos, self._cap, self._stride, self._base, self._ends, self.table):
             a.flags.writeable = False
-
-    def _intervals(self, blocks: Sequence[_Block], top: int) -> tuple[np.ndarray, np.ndarray]:
-        """Interval ends, and the row of each interval in the table that stacks
-        every block's stored rows and then its unseen rows.
-
-        Intervals start at each block's base, at each stored key and at each
-        key + 1. Where starts coincide, a stored key wins over a base (a
-        stored all-zero configuration) and over a key + 1 (adjacent keys),
-        and a base wins over a key + 1 (after the one key of an empty
-        subset comes the next block's base, or top).
-        """
-        dtype = self._base.dtype
-        per_block = [b[1].astype(dtype) @ s[:len(b[0])] + base
-                     for b, s, base in zip(blocks, self._stride.T, self._base)]
-        keys = np.concatenate(per_block)
-        unseen = len(keys) + np.arange(len(blocks))
-        # the start at top closes the last interval
-        starts = np.concatenate([keys, self._base, np.array([top], dtype=dtype), keys + 1])
-        rows = np.concatenate([np.arange(len(keys)), unseen, [-1],
-                               np.repeat(unseen, [len(k) for k in per_block])])
-        order = np.argsort(starts, kind="stable")
-        starts, rows = starts[order], rows[order]
-        first = _run_edges(starts)[:-1]
-        return starts[first][1:], rows[first][:-1]
 
     def gather(self, x: Sequence[int]) -> np.ndarray:
         # negative values wrap to huge unsigned ones and are capped too

@@ -174,8 +174,9 @@ class RawTable:
 def read_text(source) -> Iterator[io.TextIOBase]:
     """Text stream over a path, bytes, or a text or binary stream.
 
-    A leading UTF-8 byte order mark is dropped. A source that cannot be
-    opened or read, or bytes that are not UTF-8, met here or while the caller
+    A leading UTF-8 byte order mark is dropped, and bytes split into lines
+    as a file does. A source that cannot be opened or read, bytes that are
+    not UTF-8, or a fault of the `csv` module, met here or while the caller
     reads, raise `DataError`. Only a file opened here is closed here; a
     caller's binary stream is detached from, not closed.
     """
@@ -185,7 +186,7 @@ def read_text(source) -> Iterator[io.TextIOBase]:
             with open(source, "r", newline="", encoding="utf-8-sig") as stream:
                 yield stream
         elif isinstance(source, bytes):
-            yield io.StringIO(source.decode("utf-8-sig"))
+            yield io.StringIO(source.decode("utf-8-sig"), newline="")
         elif isinstance(source, io.TextIOBase):
             yield source
         else:
@@ -197,6 +198,8 @@ def read_text(source) -> Iterator[io.TextIOBase]:
                 stream.detach()
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot read {name}: not valid UTF-8 ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataError(f"cannot read {name}: {exc}") from None
     except OSError as exc:
         raise DataError(f"cannot read {name}: {exc}") from exc
 
@@ -226,42 +229,46 @@ def read_columns(source, keep) -> tuple[list[str], list[list], int]:
     """
     with read_text(source) as stream:
         reader = csv.reader(stream)
-        header = next(reader, None)
-        if header is not None:
-            header = [h.strip() for h in header]
-            if len(set(header)) != len(header):
-                raise DataError("duplicate column names in header")
-        # [position, name, numeric, values, shared texts or None]
-        columns = [[header.index(name), name, numeric, [], {}] for name, numeric in keep(header)]
-        n_fields = len(header)
-        n_rows = 0
-        for row in reader:
-            line = reader.line_num
-            if len(row) != n_fields:
-                raise DataError(f"line {line}: row has {len(row)} fields, expected {n_fields}")
-            n_rows += 1
-            for column in columns:
-                pos, name, numeric, values, texts = column
-                text = row[pos].strip()
-                if not text:
-                    raise DataError(f"line {line}: empty cell in column {name!r}")
-                if numeric:
-                    value = None
-                    if _plain(text):
-                        try:
-                            value = float(text)
-                        except ValueError:
-                            pass
-                    if value is None or not math.isfinite(value):
-                        what = "a number" if value is None else "a finite number"
-                        raise DataError(f"line {line}: column {name!r} expected {what}, got {text!r}")
-                    values.append(value)
-                    continue
-                if texts is not None:
-                    text = texts.setdefault(text, text)
-                    if len(texts) > _SHARED_TEXTS_MAX:
-                        column[4] = None
-                values.append(text)
+        try:
+            header = next(reader, None)
+            if header is not None:
+                header = [h.strip() for h in header]
+                if len(set(header)) != len(header):
+                    raise DataError("duplicate column names in header")
+            # [position, name, numeric, values, shared texts or None]
+            columns = [[header.index(name), name, numeric, [], {}] for name, numeric in keep(header)]
+            n_fields = len(header)
+            n_rows = 0
+            for row in reader:
+                line = reader.line_num
+                if len(row) != n_fields:
+                    raise DataError(f"line {line}: row has {len(row)} fields, expected {n_fields}")
+                n_rows += 1
+                for column in columns:
+                    pos, name, numeric, values, texts = column
+                    text = row[pos].strip()
+                    if not text:
+                        raise DataError(f"line {line}: empty cell in column {name!r}")
+                    if numeric:
+                        value = None
+                        if _plain(text):
+                            try:
+                                value = float(text)
+                            except ValueError:
+                                pass
+                        if value is None or not math.isfinite(value):
+                            what = "a number" if value is None else "a finite number"
+                            raise DataError(f"line {line}: column {name!r} expected {what}, got {text!r}")
+                        values.append(value)
+                        continue
+                    if texts is not None:
+                        text = texts.setdefault(text, text)
+                        if len(texts) > _SHARED_TEXTS_MAX:
+                            column[4] = None
+                    values.append(text)
+        except csv.Error as exc:
+            # read_text names the source; only the reader knows the line
+            raise csv.Error(f"line {reader.line_num}: {exc}") from None
     return header, [column[3] for column in columns], n_rows
 
 

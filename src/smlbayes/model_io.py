@@ -135,8 +135,10 @@ def load_model(path: str | Path):
         raise DataError(f"cannot read model file {path}: not valid UTF-8 ({exc.reason})") from None
     try:
         return model_from_json_dict(json.loads(text))
-    except (KeyError, ValueError, TypeError, AttributeError, OverflowError, ConfigError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError, OverflowError, RecursionError,
+            ConfigError) as exc:
         # a field of the wrong type (null, a list for an object) surfaces as
         # TypeError or AttributeError inside the rebuild, an integer past int64
-        # as OverflowError, a prior the tables cannot be scored under as ConfigError
+        # as OverflowError, a prior the tables cannot be scored under as
+        # ConfigError, and JSON nested past the parser's depth as RecursionError
         raise DataError(f"malformed model file {path}: {exc}") from exc

@@ -244,11 +244,10 @@ class CountTable:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CountTable":
-        configs = int_array(d["configs"])
         return cls(
             tuple(map(operator.index, d["subset"])),
-            configs,
-            int_array(d["counts"]).reshape(len(configs), -1),
+            int_array(d["configs"]),
+            int_array(d["counts"]),
             operator.index(d["n_rows"]),
             operator.index(d["class_arity"]),
             operator.index(d["q"]),
@@ -414,13 +413,6 @@ class FamilyScore:
             "log_value": format(self.log_value, ".17g"),
             "member_log_scores": [format(s, ".17g") for s in self.member_log_scores],
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FamilyScore":
-        return cls(
-            float(d["log_value"]),
-            tuple(float(s) for s in d["member_log_scores"]),
-        )
 
 
 def log_family_score(member_log_scores: Sequence[float]) -> FamilyScore:

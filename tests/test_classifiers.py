@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import random_dataset
@@ -385,6 +387,45 @@ class TestStackedRows:
         # the big block carries the stacked key range past 2**64
         mixed = self._check([blocks[0], big, *blocks[1:]], values)
         assert mixed._ends.dtype == object and mixed._ends[-1] == 1 + (2**40 + 2) ** 2 + 25
+
+
+# small values make all-zero first configs and adjacent keys likely; values
+# up to 2**40 carry a block's key range, and so the stacked one, past 2**64
+_VALUES = st.one_of(st.integers(0, 2), st.integers(0, 2**40))
+
+
+@st.composite
+def _stacked_case(draw, n_inputs=4):
+    blocks = []
+    for b in range(draw(st.integers(1, 5))):
+        subset = draw(st.lists(st.integers(0, n_inputs - 1), unique=True, max_size=3))
+        configs = sorted(draw(st.sets(st.tuples(*[_VALUES] * len(subset)), max_size=6)))
+        blocks.append(TestStackedRows._block(subset, configs, 100 * (b + 1)))
+    # per input: every stored value, one past it (a cap digit), a larger
+    # unseen-level sentinel, and negative and int64-extreme values
+    stored = [set() for _ in range(n_inputs)]
+    for subset, configs, _, _ in blocks:
+        for j, k in enumerate(subset):
+            stored[k].update(configs[:, j].tolist())
+    choices = [sorted(v | {x + 1 for x in v} | {max(v, default=0) + 2, -1, -(2**63), 2**63 - 1})
+               for v in stored]
+    queries = draw(st.lists(st.tuples(*map(st.sampled_from, choices)), min_size=1, max_size=20))
+    return blocks, queries
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stacked_case())
+def test_stacked_rows_equal_a_linear_search(case):
+    blocks, queries = case
+    stacked = _StackedRows(blocks)
+    for x in queries:
+        got, want = stacked.gather(list(x)), TestStackedRows._linear(blocks, x)
+        assert got.shape == want.shape and (got == want).all(), x
+    # each block ends 2n + 1 intervals, the last at top, empty ones included
+    top = sum(math.prod(int(c) + 2 for c in configs.max(axis=0, initial=-1)) for _, configs, _, _ in blocks)
+    assert len(stacked._ends) == 2 * sum(len(b[1]) for b in blocks) + len(blocks)
+    assert stacked._ends[-1] == top
+    assert stacked._ends.dtype == (np.uint64 if top < 2**64 else object)
 
 
 class TestPredictMemo:

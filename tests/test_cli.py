@@ -203,6 +203,16 @@ class TestSearch:
         assert err.startswith("error:") and "UTF-8" in err and err.count("\n") == 1
         assert not out.exists()
 
+    def test_cell_past_the_csv_field_limit_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "big.csv"
+        data.write_text("a,label\n1,x\n" + "2" * 200_000 + ",y\n", encoding="utf-8")
+        out = tmp_path / "s.json"
+        code = main(["search", "--data", str(data), "--class-col", "label", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot read {data}: line 3: field larger than field limit (131072)\n"
+        assert not out.exists()
+
     def test_non_finite_numeric_column_exits_2(self, tmp_path, capsys):
         data = tmp_path / "inf.csv"
         data.write_text("a,label\n1,x\n-inf,y\n2,x\n", encoding="utf-8")
@@ -447,6 +457,10 @@ class TestTrainPredict:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read model file") and "UTF-8" in err and err.count("\n") == 1
 
+    def test_cell_past_the_csv_field_limit_exits_2(self, data_csv, tmp_path, capsys):
+        err = self._predict_fails(data_csv, tmp_path, capsys, b"temp,color\n2,red\n3," + b"r" * 200_000 + b"\n")
+        assert err.endswith("new.csv: line 3: field larger than field limit (131072)\n")
+
     def test_line_numbers_count_physical_lines(self, data_csv, tmp_path, capsys):
         # the quoted cell spans lines 2 and 3, so the bad row is on line 4
         err = self._predict_fails(data_csv, tmp_path, capsys, b'temp,color\n2,"two\nlines"\ny,zz\n')
@@ -613,6 +627,11 @@ class TestTrainPredict:
         payload["prior"]["strength"] = strength
         model_path.write_text(json.dumps(payload), encoding="utf-8")
         self._assert_malformed_model(tmp_path, model_path, capsys, "a,b\n2,x\n")
+
+    def test_model_nested_past_the_parser_depth_exits_2(self, tmp_path, capsys):
+        model_path = tmp_path / "deep.json"
+        model_path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        self._assert_malformed_model(tmp_path, model_path, capsys)
 
     def test_non_object_model_exits_2(self, tmp_path, capsys):
         model_path = tmp_path / "list.json"

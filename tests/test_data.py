@@ -130,6 +130,25 @@ class TestLoadCsv:
             assert raw.class_column.values == ["yes", "no"]
             assert [c.name for c in raw.predictors] == ["a"]
 
+    @pytest.mark.parametrize("ending", [b"\r", b"\n", b"\r\n"])
+    def test_bytes_split_lines_as_a_file_does(self, tmp_path, ending):
+        text = ending.join([b"a,cls", b"1,p", b'"2\r\n3",q', b"4,p", b""])
+        p = tmp_path / "lines.csv"
+        p.write_bytes(text)
+        tables = [load_csv(source, "cls") for source in (text, p, io.BytesIO(text))]
+        assert tables[0] == tables[1] == tables[2]
+        assert tables[0].class_column.values == ["p", "q", "p"]
+
+    def test_csv_module_fault_is_a_data_error(self, tmp_path):
+        text = b"a,cls\n1,p\n" + b"2" * 200_000 + b",q\n"
+        p = tmp_path / "big.csv"
+        p.write_bytes(text)
+        for source, name in ((text, "input"), (io.BytesIO(text), "input"), (p, str(p))):
+            with pytest.raises(DataError) as info:
+                load_csv(source, "cls")
+            assert str(info.value) == f"cannot read {name}: line 3: field larger than field limit (131072)"
+            assert info.value.__cause__ is None
+
     def test_repeated_cells_share_one_string(self):
         lines = ["a,cls"] + [f"{i},{'yes' if i % 2 else 'no'}" for i in range(3000)]
         raw = load_csv(_csv("\n".join(lines)), "cls")
