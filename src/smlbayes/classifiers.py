@@ -231,6 +231,13 @@ class MixtureClassifier:
         return weights, _StackedRows([_diag_block(t, self.prior) for t in self.tables])
 
 
+def _count_table(train: Dataset, subset: tuple[int, ...]) -> CountTable:
+    """`train`'s table over `subset`, built once and kept in `train.count_tables`."""
+    if subset not in train.count_tables:
+        train.count_tables[subset] = build_count_table(train, subset)
+    return train.count_tables[subset]
+
+
 def build_omi(
     train: Dataset, subset_size: int, prior: PriorSpec, enumeration_cap: int = 200_000
 ) -> MixtureClassifier:
@@ -245,7 +252,7 @@ def build_omi(
     n_subsets = math.comb(n, subset_size)
     if n_subsets > enumeration_cap:
         raise ConfigError(f"{n_subsets} subsets of size {subset_size} exceed the cap of {enumeration_cap}")
-    tables = [build_count_table(train, s) for s in itertools.combinations(range(n), subset_size)]
+    tables = [_count_table(train, s) for s in itertools.combinations(range(n), subset_size)]
     return MixtureClassifier(tables, prior)
 
 
@@ -254,7 +261,7 @@ def build_pm_mixture(
 ) -> MixtureClassifier:
     """Mixture with one diagnostic component per partition block."""
     part = validate_partition(partition, train.schema.n_predictors)
-    tables = [build_count_table(train, block) for block in part]
+    tables = [_count_table(train, block) for block in part]
     return MixtureClassifier(tables, prior)
 
 
@@ -368,7 +375,7 @@ def _tally_blocks(cls, partition: Sequence[Sequence[int]], train: Dataset, prior
     part = validate_partition(partition, train.schema.n_predictors)
     r = train.schema.class_arity
     class_counts = np.bincount(train.labels, minlength=r).astype(np.int64)
-    block_tables = tuple(build_count_table(train, block) for block in part)
+    block_tables = tuple(_count_table(train, block) for block in part)
     return cls(train.schema, part, class_counts, block_tables, prior)
 
 

@@ -16,8 +16,9 @@ import io
 import json
 import math
 import operator
+from bisect import bisect_right
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -97,14 +98,15 @@ def take_rows(rows: np.ndarray, indices: np.ndarray) -> np.ndarray:
 class Dataset:
     """Encoded table: integer predictor values and class labels under a schema.
 
-    Arrays are stored read-only; treat instances as immutable values.
-    ``rows`` is stored column-major, so each predictor's column
-    ``rows[:, i]`` is one contiguous array.
+    Arrays are stored read-only; ``count_tables`` keeps, by subset, the count
+    tables of the models built from the dataset. ``rows`` is stored
+    column-major, so each predictor's column ``rows[:, i]`` is one contiguous array.
     """
 
     schema: Schema
     rows: np.ndarray
     labels: np.ndarray
+    count_tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         rows = np.asfortranarray(np.asarray(self.rows, dtype=np.int64))
@@ -344,18 +346,12 @@ def fit_equal_frequency(values: Sequence[float], bins: int) -> list[float]:
     if any(map(math.isnan, ordered)):
         raise ValueError("values must not contain NaN")
     n = len(ordered)
+    bins = min(bins, n)  # any bins >= n gives the cuts of n: an edge after every value
     cuts: list[float] = []
     for t in range(1, bins):
-        edge = (t * n) // bins
-        if edge <= 0:
-            continue
-        while edge < n and ordered[edge - 1] == ordered[edge]:
-            edge += 1
-        if edge >= n:
-            continue
-        cut = ordered[edge - 1]
-        if not cuts or cut > cuts[-1]:
-            cuts.append(cut)
+        edge = bisect_right(ordered, ordered[(t * n) // bins - 1])
+        if edge < n and (not cuts or ordered[edge - 1] > cuts[-1]):
+            cuts.append(ordered[edge - 1])
     return cuts
 
 

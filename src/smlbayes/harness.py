@@ -89,7 +89,7 @@ def spec_from_token(
         return ClassifierSpec(PM, prior, search=search)
     if token == ANB:
         return ClassifierSpec(ANB, prior, search=search)
-    if token.startswith("om") and token[2:].isdigit():
+    if token.startswith("om") and token[2:].isascii() and token[2:].isdigit():
         return ClassifierSpec(OMI, prior, subset_size=int(token[2:]))
     raise ConfigError(f"unknown classifier token {token!r}")
 

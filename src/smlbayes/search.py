@@ -133,7 +133,8 @@ class PartitionScorer:
     def block_score(self, block: Block) -> float:
         score = self._cache.get(block)
         if score is None:
-            table = build_count_table(self.train, block)
+            # reads a table a model built from `train` holds; keeps none it builds
+            table = self.train.count_tables.get(block) or build_count_table(self.train, block)
             score = self._cache[block] = log_sml(table, self.prior)
         return score
 

@@ -437,3 +437,26 @@ def encode_value(encoder: DatasetEncoder, name: str, kind: str, value) -> int:
         return levels.index(str(value))
     except ValueError:
         return len(levels)  # out-of-range sentinel for unseen levels
+
+
+# --- equal-frequency cut points as `data.fit_equal_frequency` found them
+# before it capped `bins` at the number of values: one edge per requested
+# bin, each slid to the end of its run of ties
+
+
+def fit_equal_frequency(values, bins: int) -> list[float]:
+    ordered = sorted(float(v) for v in values)
+    n = len(ordered)
+    cuts: list[float] = []
+    for t in range(1, bins):
+        edge = (t * n) // bins
+        if edge <= 0:
+            continue
+        while edge < n and ordered[edge - 1] == ordered[edge]:
+            edge += 1
+        if edge >= n:
+            continue
+        cut = ordered[edge - 1]
+        if not cuts or cut > cuts[-1]:
+            cuts.append(cut)
+    return cuts

@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -675,6 +676,37 @@ class TestFlagChecks:
         err = capsys.readouterr().err
         assert err.startswith(f"error: argument {flag}:") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("token", ["om\u00b2", "om\u0661"], ids=["superscript-two", "arabic-indic-one"])
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_om_with_a_non_ascii_digit_exits_3(self, data_csv, tmp_path, capsys, command, token):
+        # str.isdigit accepts both; int() refused the first and read the second as 1
+        out = tmp_path / "out.json"
+        if command == "eval":
+            args = _eval_args(data_csv, str(out), **{"--classifiers": f"nb,{token}"})
+        else:
+            args = ["train", "--data", data_csv, "--class-col", "label", "--classifier", token,
+                    "--out", str(out)]
+        assert main(args) == 3
+        assert capsys.readouterr().err == f"error: unknown classifier token {token!r}\n"
+        assert not out.exists()
+
+    def test_bins_far_past_the_row_count_fit_the_cuts_of_one_bin_per_row(self, data_csv, tmp_path):
+        # data_csv has 30 rows; the time to fit cuts no longer grows with --bins
+        def cuts(bins):
+            out = tmp_path / f"nb-{bins}.json"
+            args = ["train", "--data", data_csv, "--class-col", "label", "--classifier", "nb",
+                    "--bins", str(bins), "--out", str(out)]
+            began = time.perf_counter()
+            assert main(args) == 0
+            elapsed = time.perf_counter() - began
+            discretization = json.loads(out.read_text())["encoder"]["discretization"]
+            assert discretization["bins"] == bins  # recorded as given
+            return discretization["cut_points"], elapsed
+
+        huge, elapsed = cuts(10**18)
+        assert elapsed < 1.0
+        assert huge == cuts(30)[0] == {"temp": [float(v) for v in range(1, 30)]}
 
     @pytest.mark.parametrize(
         "argv",

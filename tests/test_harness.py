@@ -22,6 +22,7 @@ from smlbayes import (
     run_trials,
     zero_one_loss,
 )
+from smlbayes import classifiers, search
 from smlbayes.data import DatasetEncoder, fit_discretization
 from smlbayes.harness import EvalReport, spec_from_token
 
@@ -266,3 +267,36 @@ class TestGains:
         report = self._report({"pm": {"zero_one_loss": 0.1, "log_loss": 0.2}})
         with pytest.raises(ConfigError):
             gains_vs_nb(report)
+
+
+def test_a_trial_builds_each_count_table_once(monkeypatch):
+    """nb, om2, pm and anb on noisy xor data: the model builders build each
+    subset of a trial's training half at most once, and the search, which
+    runs after nb and om2, builds none of the subsets they already hold."""
+    rng = np.random.default_rng(3)
+    rows = rng.integers(0, 2, size=(160, 4))
+    labels = (rows[:, 0] ^ rows[:, 1]) ^ (rng.random(160) < 0.05)
+    data = Dataset(Schema(("a", "b", "c", "d"), (2, 2, 2, 2), "y", 2), rows, labels)
+    builds = []  # (training set, subset, builder module); holding the set keeps its id unique
+    for module in (classifiers, search):
+        def counted(train, subset, _build=module.build_count_table, _who=module.__name__):
+            builds.append((train, tuple(subset), _who))
+            return _build(train, subset)
+        monkeypatch.setattr(module, "build_count_table", counted)
+    specs = [spec_from_token(t, UNIFORM, SEARCH) for t in ("nb", "om2", "pm", "anb")]
+    run_trials(data, specs, trials=4)
+
+    trains = {id(train) for train, _, _ in builds}
+    assert len(trains) == 4
+    held = set()
+    for train, subset, who in builds:
+        key = (id(train), subset)
+        if who == "smlbayes.classifiers":
+            assert key not in held, f"{subset} built twice for one training set"
+            held.add(key)
+        else:
+            assert key not in held, f"the search rebuilt {subset}, which a model holds"
+    # every trial built nb's 4 singletons and om2's 6 pairs, and the search
+    # scored the 5 larger subsets itself
+    assert len(held) >= 4 * 10
+    assert sum(who == "smlbayes.search" for _, _, who in builds) >= 4 * 5

@@ -45,6 +45,7 @@ from smlbayes import (
     build_nb,
     build_omi,
     build_pm_mixture,
+    fit_equal_frequency,
     log_family_score,
     log_loss,
     log_sml,
@@ -853,3 +854,59 @@ def test_array_losses_equal_the_per_row_definitions(case):
     for given_preds in (preds, list(preds)):
         assert zero_one_loss(given_preds, truth) == wrong / len(truth)
         assert log_loss(given_preds, np.array(truth)) == total / len(truth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.5, -7.0, math.inf, -math.inf])
+             | st.floats(allow_nan=False), min_size=1, max_size=40),
+    st.data(),
+)
+def test_equal_frequency_cuts_equal_the_uncapped_loop(values, draw):
+    bins = draw.draw(st.integers(1, 5 * len(values) + 7))
+    # repr tells -0.0 from 0.0, which a model file would too
+    got, want = fit_equal_frequency(values, bins), oracles.fit_equal_frequency(values, bins)
+    assert list(map(repr, got)) == list(map(repr, want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(1, 3), min_size=1, max_size=5),
+    st.integers(2, 3),
+    st.integers(1, 40),
+    st.data(),
+)
+def test_models_on_held_tables_equal_models_on_a_fresh_dataset(seed, arities, r, n_rows, draw):
+    """Models built, in any order, on a dataset that already holds tables
+    predict what the same models built on a fresh `Dataset` of the same
+    arrays predict, and a search reports the same with and without them."""
+    data = random_dataset(np.random.default_rng(seed), n_rows, tuple(arities), r)
+
+    def fresh():
+        return Dataset(data.schema, data.rows, data.labels)
+
+    n = len(arities)
+    prior = draw.draw(st.sampled_from([PriorSpec.uniform_cell(1.0), PriorSpec.equivalent_sample_size(2.0)]))
+    config = search.SearchConfig(restarts=2, patience=draw.draw(st.integers(1, 30)), seed=seed)
+    block_of = draw.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    partition = [[i for i in range(n) if block_of[i] == b] for b in sorted(set(block_of))]
+    builders = {
+        "nb": lambda d: build_nb(d, prior),
+        "pm": lambda d: build_pm_mixture(partition, d, prior),
+        "anb": lambda d: build_anb(partition, d, prior),
+        **{f"om{i}": (lambda d, i=i: build_omi(d, i, prior)) for i in (1, 2) if i <= n},
+    }
+    want = search.pm_search(fresh(), prior, config).to_json_dict()
+    held = {}
+    for name in draw.draw(st.permutations(sorted(builders))):
+        held[name] = builders[name](data)
+        assert search.pm_search(data, prior, config).to_json_dict() == want
+    # one table per subset, shared by every model over it
+    assert all(a is b for a, b in zip(held["pm"].tables, held["anb"].block_tables))
+    queries = draw.draw(st.lists(st.tuples(*[st.integers(-1, a) for a in arities]).map(list),
+                                 min_size=1, max_size=6))
+    for name, build in builders.items():
+        model = build(fresh())
+        for x in queries:
+            assert (held[name].predict(x) == model.predict(x)).all(), (name, x)

@@ -16,6 +16,7 @@ from smlbayes import (
     SearchConfig,
     SplitPlan,
     build_count_table,
+    build_nb,
     log_family_score,
     log_sml,
     pm_search,
@@ -247,3 +248,15 @@ class TestGoldenDraws:
         train, test = split_indices(40, SplitPlan(0.75, 7, 3))
         assert train.tolist()[:12] == [6, 9, 38, 21, 12, 26, 16, 13, 29, 19, 27, 25]
         assert test.tolist() == [39, 8, 18, 37, 36, 15, 11, 28, 2, 17]
+
+
+def test_search_keeps_no_count_table():
+    # the search reads the tables that models built from its training set
+    # hold, and drops every table it builds itself
+    data = _xor_data(np.random.default_rng(4))
+    pm_search(data, UNIFORM, SearchConfig(restarts=3, patience=30, seed=2))
+    assert data.count_tables == {}
+    nb = build_nb(data, UNIFORM)
+    pm_search(data, UNIFORM, SearchConfig(restarts=3, patience=30, seed=2))
+    assert list(data.count_tables) == [(0,), (1,), (2,), (3,)]
+    assert tuple(data.count_tables.values()) == nb.block_tables
