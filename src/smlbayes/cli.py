@@ -21,7 +21,7 @@ import os
 import shutil
 import sys
 
-from .data import DatasetEncoder, fit_discretization, load_csv, read_codes
+from .data import DatasetEncoder, _plain, fit_discretization, load_csv, read_codes
 from .errors import ConfigError, DataError
 from .harness import run_trials, spec_from_token, train_model
 from .model_io import load_model, model_to_json_dict
@@ -63,11 +63,16 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected true or false, got {text!r}")
 
 
+def _integer(text: str) -> int:
+    """An integer flag, read under the CSV number rule: ASCII digits, no '_'."""
+    if _plain(text):
+        with contextlib.suppress(ValueError):
+            return int(text)
+    raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+
+
 def _bin_count(text: str) -> int:
-    try:
-        bins = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    bins = _integer(text)
     if bins < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {bins}")
     return bins
@@ -92,10 +97,10 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--patience", type=int, default=200)
-    p.add_argument("--max-block-size", type=int, default=None)
+    p.add_argument("--seed", type=_integer, default=1)
+    p.add_argument("--restarts", type=_integer, default=10)
+    p.add_argument("--patience", type=_integer, default=200)
+    p.add_argument("--max-block-size", type=_integer, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="repeated-split evaluation of classifiers")
     _add_data_flags(p_eval)
-    p_eval.add_argument("--trials", type=int, default=50)
+    p_eval.add_argument("--trials", type=_integer, default=50)
     p_eval.add_argument("--train-frac", type=_fraction, default=0.75)
     p_eval.add_argument(
         "--classifiers", required=True, help="comma list: nb, om<i>, pm, anb"

@@ -181,7 +181,7 @@ def _move_table(partition: Partition, max_block_size: int | None) -> tuple[_Move
     A pure function of its arguments, so it is memoized: a hill climb keeps
     its partition until a proposal is accepted, and every rejection draws
     from the same table. A candidate partition is built the first time its
-    operand is drawn and kept in the table.
+    operand is drawn or checked, and kept in the table.
     """
     n = sum(len(b) for b in partition)
     if n < 2:
@@ -273,14 +273,31 @@ def propose_move(
     """
     if moves is None:
         moves = _move_table(tuple(map(tuple, partition)), max_block_size)
-    apply, operands, candidates = moves[rng.integers(len(moves))]
-    i = rng.integers(len(operands))
+    move = moves[rng.integers(len(moves))]
+    return _candidate(partition, move, rng.integers(len(move[1])))
+
+
+def _candidate(partition: Sequence[Sequence[int]], move: _MoveKind, i: int) -> Partition:
+    """Operand `i` of `move` applied to `partition`, built once and kept in the move table."""
+    apply, operands, candidates = move
     candidate = candidates[i]
     if candidate is None:
         blocks = [list(b) for b in partition]
         apply(blocks, operands[i])
         candidate = candidates[i] = canonical_partition(b for b in blocks if b)
     return candidate
+
+
+def _is_local_optimum(
+    part: Partition, moves: tuple[_MoveKind, ...], scores: dict[Partition, FamilyScore], log_value: float
+) -> bool:
+    """Whether every neighbour of `part` has a score in `scores` and none is above `log_value`."""
+    for move in moves:
+        for i in range(len(move[1])):
+            known = scores.get(_candidate(part, move, i))
+            if known is None or known.log_value > log_value:
+                return False
+    return True
 
 
 def _initial_partition(n: int, mode: str, rng: BoundedDraws) -> Partition:
@@ -302,9 +319,13 @@ def check_searchable(data: Dataset) -> None:
 def pm_search(train: Dataset, prior: PriorSpec, config: SearchConfig) -> SearchResult:
     """Restarted greedy hill climb; accepts strict improvements only.
 
-    Each restart runs until `patience` consecutive proposals fail to improve.
-    Ties across restarts resolve to the earliest restart. Deterministic for a
-    given config seed.
+    Each restart runs until `patience` consecutive proposals fail to improve,
+    or until, after a rejection, every operand of the current partition's
+    move table yields a candidate in this search's score memo at no more than
+    the current score. Every later proposal would be rejected, so none is
+    drawn: the result equals the full patience run's but for the proposal
+    counts, which count the proposals drawn. Ties across restarts resolve to
+    the earliest restart. Deterministic for a given config seed.
     """
     check_searchable(train)
     n = train.schema.n_predictors
@@ -332,6 +353,8 @@ def pm_search(train: Dataset, prior: PriorSpec, config: SearchConfig) -> SearchR
                 rejections = 0
             else:
                 rejections += 1
+                if _is_local_optimum(part, moves, scorer._scores, score.log_value):
+                    break
         traces.append(RestartTrace(ridx, initial, score.log_value, proposals))
         total_proposals += proposals
         if best is None or score.log_value > best[1].log_value:

@@ -8,7 +8,9 @@ same floating-point operations in the same order as the compiled lookup
 tables, so their results must agree bit for bit; so must the direct SML
 closed form and the score kernel's gathered lookup tables. The move
 oracle enumerates every operand of every move kind on each call, drawing
-from the generator exactly as the memoized move tables must.
+from the generator exactly as the memoized move tables must; the search
+oracle is the hill climb as a plain loop over it, with the local-optimum
+certificate optional and computed from every neighbour afresh.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from typing import Iterator
 
 import numpy as np
 
-from smlbayes import DataError, Dataset, DatasetEncoder, DiscretizationSpec, PriorSpec, Schema
-from smlbayes.data import CATEGORICAL, NUMERIC, RawColumn, RawTable, read_text
+from smlbayes import DataError, Dataset, DatasetEncoder, DiscretizationSpec, PriorSpec, Schema, search
+from smlbayes.data import CATEGORICAL, NUMERIC, RawColumn, RawTable, derive_seed, read_text
 from smlbayes.scoring import UNIFORM_CELL
 from smlbayes.search import canonical_partition
 
@@ -228,8 +230,8 @@ def anb_predict_oracle(model, x) -> np.ndarray:
     return _naive_bayes(model.class_counts, model.prior, factors)
 
 
-def propose_move_oracle(partition, rng: np.random.Generator, max_block_size: int | None = None):
-    """Draw one neighboring partition, enumerating every move afresh."""
+def _oracle_moves(partition, max_block_size: int | None) -> list[tuple[str, list]]:
+    """Each move kind applicable to `partition`, with its operands."""
     n = sum(len(b) for b in partition)
     if n < 2:
         raise ValueError("no moves exist for fewer than 2 predictors")
@@ -250,31 +252,88 @@ def propose_move_oracle(partition, rng: np.random.Generator, max_block_size: int
         for j in range(i + 1, len(blocks))
         if len(blocks[i]) + len(blocks[j]) <= cap
     ]
-
-    kinds = []
-    if relocations:
-        kinds.append("relocate")
-    if detachables:
-        kinds.append("detach")
-    if merges:
-        kinds.append("merge")
+    kinds = [
+        (kind, operands)
+        for kind, operands in (("relocate", relocations), ("detach", detachables), ("merge", merges))
+        if operands
+    ]
     if not kinds:
         raise ValueError("no applicable moves under the block-size cap")
+    return kinds
 
-    kind = kinds[int(rng.integers(len(kinds)))]
+
+def _apply_oracle_move(partition, kind: str, operand):
+    blocks = [list(b) for b in partition]
     if kind == "relocate":
-        bi, v, ti = relocations[int(rng.integers(len(relocations)))]
+        bi, v, ti = operand
         blocks[bi].remove(v)
         blocks[ti].append(v)
     elif kind == "detach":
-        bi, v = detachables[int(rng.integers(len(detachables)))]
+        bi, v = operand
         blocks[bi].remove(v)
         blocks.append([v])
     else:
-        i, j = merges[int(rng.integers(len(merges)))]
+        i, j = operand
         blocks[i].extend(blocks[j])
         del blocks[j]
     return canonical_partition(b for b in blocks if b)
+
+
+def propose_move_oracle(partition, rng: np.random.Generator, max_block_size: int | None = None):
+    """Draw one neighboring partition, enumerating every move afresh."""
+    kinds = _oracle_moves(partition, max_block_size)
+    kind, operands = kinds[int(rng.integers(len(kinds)))]
+    return _apply_oracle_move(partition, kind, operands[int(rng.integers(len(operands)))])
+
+
+def neighbours_oracle(partition, max_block_size: int | None = None) -> list:
+    """Every partition one move away, one per operand, enumerated afresh."""
+    return [
+        _apply_oracle_move(partition, kind, operand)
+        for kind, operands in _oracle_moves(partition, max_block_size)
+        for operand in operands
+    ]
+
+
+def pm_search_oracle(train: Dataset, prior: PriorSpec, config, certify: bool = False):
+    """The restarted hill climb as a plain loop over the enumerating move
+    oracle: each restart runs until `patience` consecutive rejections.
+
+    With `certify`, a restart also ends after a rejection once every
+    neighbour of its partition, all of them enumerated and built afresh, has
+    a score in the search's memo no higher than the current one.
+    """
+    search.check_searchable(train)
+    n = train.schema.n_predictors
+    scorer = search.PartitionScorer(train, prior)
+    memo = scorer._scores
+    movable = n >= 2 and (config.max_block_size is None or config.max_block_size >= 2)
+    best = None
+    traces = []
+    for ridx in range(config.restarts):
+        rng = search.BoundedDraws(np.random.PCG64(derive_seed(config.seed, search._RESTART_STREAM, ridx)))
+        part = search._initial_partition(n, config.init_mode, rng)
+        score = scorer.score(part)
+        initial = score.log_value
+        rejections = proposals = 0
+        while movable and rejections < config.patience:
+            candidate = propose_move_oracle(part, rng, config.max_block_size)
+            cand_score = scorer.score(candidate)
+            proposals += 1
+            if cand_score.log_value > score.log_value:
+                part, score = candidate, cand_score
+                rejections = 0
+                continue
+            rejections += 1
+            if certify and all(
+                (known := memo.get(p)) is not None and known.log_value <= score.log_value
+                for p in neighbours_oracle(part, config.max_block_size)
+            ):
+                break
+        traces.append(search.RestartTrace(ridx, initial, score.log_value, proposals))
+        if best is None or score.log_value > best[1].log_value:
+            best = (part, score)
+    return search.SearchResult(best[0], best[1], sum(t.proposals for t in traces), tuple(traces))
 
 
 # --- the CSV readers as they were before `data.read_columns` served both:

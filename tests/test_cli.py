@@ -691,6 +691,27 @@ class TestFlagChecks:
         assert capsys.readouterr().err == f"error: unknown classifier token {token!r}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["٢", "1_0"], ids=["arabic-indic-two", "underscore"])
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("search", f) for f in ("--seed", "--restarts", "--patience", "--max-block-size", "--bins")]
+        + [("eval", "--trials")],
+    )
+    def test_integer_flag_outside_the_csv_number_rule_exits_3(
+        self, data_csv, tmp_path, capsys, command, flag, value
+    ):
+        # int() reads both, as 2 and 10
+        out = tmp_path / "out.json"
+        if command == "eval":
+            args = _eval_args(data_csv, str(out), **{flag: value})
+        else:
+            args = ["search", "--data", data_csv, "--class-col", "label", flag, value,
+                    "--out", str(out)]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: argument {flag}: expected an integer, got {value!r}\n"
+        assert not out.exists()
+
     def test_bins_far_past_the_row_count_fit_the_cuts_of_one_bin_per_row(self, data_csv, tmp_path):
         # data_csv has 30 rows; the time to fit cuts no longer grows with --bins
         def cuts(bins):

@@ -778,6 +778,59 @@ def test_search_reports_equal_a_generator_run(init_mode, seed, arities, r, n_row
 
 
 @st.composite
+def search_cases(draw):
+    """A random dataset of 2-5 predictors, a prior and a search config over
+    both init modes, block-size caps 1-4 and patience 1-300."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    arities = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=5)))
+    data = random_dataset(np.random.default_rng(seed), draw(st.integers(1, 40)), arities, draw(st.integers(2, 3)))
+    prior = draw(st.sampled_from([PriorSpec.uniform_cell(1.0), PriorSpec.equivalent_sample_size(2.0)]))
+    config = search.SearchConfig(
+        restarts=draw(st.integers(1, 3)),
+        patience=draw(st.integers(1, 300)),
+        max_block_size=draw(st.none() | st.integers(1, 4)),
+        seed=seed,
+        init_mode=draw(st.sampled_from(["singletons", "random"])),
+    )
+    return data, prior, config
+
+
+def _without_counts(report: dict) -> dict:
+    return {**report, "proposals_evaluated": None, "restarts": [{**t, "proposals": None} for t in report["restarts"]]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(search_cases())
+def test_certified_search_equals_the_full_patience_loop_but_for_its_counts(case):
+    data, prior, config = case
+    got = search.pm_search(data, prior, config).to_json_dict()
+    full = oracles.pm_search_oracle(data, prior, config).to_json_dict()
+    assert _without_counts(got) == _without_counts(full)
+    assert all(g["proposals"] <= f["proposals"] for g, f in zip(got["restarts"], full["restarts"]))
+    if got["proposals_evaluated"] < full["proposals_evaluated"]:
+        event("a restart stopped at a certified local optimum")
+    # the exact oracle builds every neighbour afresh after each rejection
+    assert got == oracles.pm_search_oracle(data, prior, config, certify=True).to_json_dict()
+
+
+@settings(max_examples=40, deadline=None)
+@given(search_cases(), st.integers(0, 2**32 - 1))
+def test_certified_search_ignores_the_candidates_move_tables_keep(case, other_seed):
+    """The move tables outlive a search and keep the candidates other searches
+    built; a search reports the same after a cold start and after a search on
+    other data warmed them."""
+    data, prior, config = case
+    want = oracles.pm_search_oracle(data, prior, config, certify=True).to_json_dict()
+    search._move_table.cache_clear()
+    assert search.pm_search(data, prior, config).to_json_dict() == want
+    other = random_dataset(np.random.default_rng(other_seed), 40, data.schema.predictor_arities, data.schema.class_arity)
+    warm = search.SearchConfig(restarts=5, patience=300, max_block_size=config.max_block_size,
+                               seed=other_seed, init_mode="random")
+    search.pm_search(other, prior, warm)
+    assert search.pm_search(data, prior, config).to_json_dict() == want
+
+
+@st.composite
 def small_count_tables(draw, q_extra=st.integers(0, 10**6)):
     """A table of 1-5 configurations with 2-4 classes and counts up to 12."""
     r = draw(st.integers(2, 4))

@@ -1,6 +1,7 @@
 """Partition moves, scoring, and the restarted greedy search."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from smlbayes import (
     singleton_partition,
     validate_partition,
 )
+from smlbayes import search
 from smlbayes.data import split_indices
 from smlbayes.search import BoundedDraws
 
@@ -213,6 +215,36 @@ class TestPmSearch:
         cfg = SearchConfig(restarts=4, patience=50, seed=5, max_block_size=1)
         result = pm_search(data, UNIFORM, cfg)
         assert result.best_partition == singleton_partition(4)
+
+    def test_two_predictors_draw_one_proposal_or_two(self):
+        # every move from the singletons merges, and every move from the merge
+        # detaches: a restart stops after its first rejection
+        draws = set()
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            if seed % 3:
+                data = random_dataset(rng, 30, (2, 3), 2)
+            else:  # labels x0 xor x1: the merge is best
+                rows = rng.integers(2, size=(40, 2))
+                data = Dataset(Schema(("x0", "x1"), (2, 2), "y", 2), rows, rows[:, 0] ^ rows[:, 1])
+            singles = score_partition(((0,), (1,)), data, UNIFORM).log_value
+            merged = score_partition(((0, 1),), data, UNIFORM).log_value
+            want = 2 if merged > singles else 1
+            result = pm_search(data, UNIFORM, SearchConfig(restarts=3, patience=200, seed=seed))
+            assert [t.proposals for t in result.restarts] == [want] * 3
+            assert result.proposals_evaluated == 3 * want
+            draws.add(want)
+        assert draws == {1, 2}
+
+    @pytest.mark.parametrize("init_mode", ["singletons", "random"])
+    def test_proposals_evaluated_counts_the_proposals_drawn(self, init_mode):
+        data = _xor_data(np.random.default_rng(37))
+        config = SearchConfig(restarts=6, patience=200, seed=9, init_mode=init_mode)
+        with mock.patch.object(search, "propose_move", wraps=search.propose_move) as spy:
+            result = pm_search(data, UNIFORM, config)
+        assert spy.call_count == result.proposals_evaluated == sum(t.proposals for t in result.restarts)
+        # every restart stopped before its patience ran out
+        assert all(t.proposals < config.patience for t in result.restarts)
 
     def test_config_validation(self):
         for bad in (
