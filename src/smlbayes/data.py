@@ -19,6 +19,7 @@ import operator
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -100,7 +101,9 @@ class Dataset:
 
     Arrays are stored read-only; ``count_tables`` keeps, by subset, the count
     tables of the models built from the dataset. ``rows`` is stored
-    column-major, so each predictor's column ``rows[:, i]`` is one contiguous array.
+    column-major, so each predictor's column ``rows[:, i]`` is one contiguous
+    array. Nonempty rows or labels must hold integers: a float is a
+    `TypeError`, never truncated.
     """
 
     schema: Schema
@@ -109,8 +112,12 @@ class Dataset:
     count_tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        rows = np.asfortranarray(np.asarray(self.rows, dtype=np.int64))
-        labels = np.ascontiguousarray(np.asarray(self.labels, dtype=np.int64))
+        rows, labels = np.asarray(self.rows), np.asarray(self.labels)
+        for name, a in (("rows", rows), ("labels", labels)):
+            if a.size and a.dtype.kind not in "iu":
+                raise TypeError(f"{name} must hold integers, not {a.dtype} values")
+        rows = np.asfortranarray(rows, dtype=np.int64)
+        labels = np.ascontiguousarray(labels, dtype=np.int64)
         if rows.ndim != 2 or rows.shape[1] != self.schema.n_predictors:
             raise ValueError("rows must be a 2-d array with one column per predictor")
         if labels.ndim != 1 or labels.shape[0] != rows.shape[0]:
@@ -131,6 +138,15 @@ class Dataset:
     def n_rows(self) -> int:
         return int(self.labels.shape[0])
 
+    @cached_property
+    def narrow(self) -> tuple[np.ndarray, np.ndarray]:
+        """int32 copies of ``rows`` and ``labels``, made on first read, for
+        count-table keys below 2**31. The values of a column whose arity
+        passes 2**31 wrap here; no such key reads that column."""
+        rows, labels = self.rows.astype(np.int32), self.labels.astype(np.int32)
+        rows.flags.writeable = labels.flags.writeable = False
+        return rows, labels
+
     def take(self, indices: np.ndarray) -> "Dataset":
         return Dataset(self.schema, take_rows(self.rows, indices), self.labels[indices])
 
@@ -143,14 +159,49 @@ class Dataset:
         return h.hexdigest()
 
 
-@dataclass
+@dataclass(eq=False)
 class RawColumn:
+    """One column of a table: its name, its kind and ``values``, one per row.
+
+    ``values`` is ``levels`` taken through ``codes``, one int32 index into
+    the levels per row; a column with ``codes`` None, such as one made from
+    its values or given new ones, is its own levels. `read_columns` holds a
+    column of few distinct texts as codes, its levels in first-appearance
+    order, so a function of the levels taken to the rows by `per_row` runs
+    once per distinct text. Columns with equal names, kinds and values are
+    equal.
+    """
+
     name: str
     kind: str  # NUMERIC or CATEGORICAL
-    values: list
+    levels: Sequence
+    codes: np.ndarray | None = None
+
+    @property
+    def values(self) -> list:
+        if self.codes is None:
+            return self.levels
+        return np.array(self.levels, dtype=object)[self.codes].tolist()
+
+    @values.setter
+    def values(self, values: list) -> None:
+        self.levels, self.codes = values, None
+
+    def per_row(self, per_level: np.ndarray) -> np.ndarray:
+        """One entry per row from one entry per level."""
+        return per_level if self.codes is None else per_level[self.codes]
+
+    def __len__(self) -> int:
+        return len(self.levels if self.codes is None else self.codes)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RawColumn):
+            return NotImplemented
+        return (self.name, self.kind, self.values) == (other.name, other.kind, other.values)
 
     def select(self, indices: Iterable[int]) -> "RawColumn":
-        return RawColumn(self.name, self.kind, [self.values[i] for i in indices])
+        values = self.values
+        return RawColumn(self.name, self.kind, [values[i] for i in indices])
 
 
 @dataclass
@@ -162,7 +213,7 @@ class RawTable:
 
     @property
     def n_rows(self) -> int:
-        return len(self.class_column.values)
+        return len(self.class_column)
 
     def select(self, indices: Iterable[int]) -> "RawTable":
         idx = list(indices)
@@ -212,12 +263,12 @@ def _plain(text: str) -> bool:
     return text.isascii() and "_" not in text
 
 
-# a column shares one str per distinct cell text until it has seen this many
-# distinct texts; past that (numeric columns) the sharing dict is dropped
+# a text column is held as the codes of its distinct texts until it has seen
+# more than this many (numeric columns); past that it holds one text per cell
 _SHARED_TEXTS_MAX = 1024
 
 
-def read_columns(source, keep) -> tuple[list[str], list[list], int]:
+def read_columns(source, keep) -> tuple[list[str], list[RawColumn], int]:
     """The header, the kept columns and the number of data rows of a CSV.
 
     Header names are stripped and must be distinct. ``keep(header)`` gets
@@ -226,8 +277,10 @@ def read_columns(source, keep) -> tuple[list[str], list[list], int]:
     keep, in the order a row's cells are checked. Each row must have one
     field per name and each kept cell, stripped, must be nonempty; numeric
     columns hold finite floats read from plain numbers (`_plain`), the others
-    one shared str per text. The first fault in file order raises `DataError`
-    naming its line and column.
+    are categorical: with at most `_SHARED_TEXTS_MAX` distinct texts, their
+    levels in first-appearance order and each cell's code, else one text per
+    cell. The first fault in file order raises `DataError` naming its line
+    and column.
     """
     with read_text(source) as stream:
         reader = csv.reader(stream)
@@ -237,8 +290,11 @@ def read_columns(source, keep) -> tuple[list[str], list[list], int]:
                 header = [h.strip() for h in header]
                 if len(set(header)) != len(header):
                     raise DataError("duplicate column names in header")
-            # [position, name, numeric, values, shared texts or None]
-            columns = [[header.index(name), name, numeric, [], {}] for name, numeric in keep(header)]
+            # [position, name, numeric, values or codes, level codes or None]
+            columns = [
+                [header.index(name), name, numeric, [], None if numeric else {}]
+                for name, numeric in keep(header)
+            ]
             n_fields = len(header)
             n_rows = 0
             for row in reader:
@@ -247,7 +303,7 @@ def read_columns(source, keep) -> tuple[list[str], list[list], int]:
                     raise DataError(f"line {line}: row has {len(row)} fields, expected {n_fields}")
                 n_rows += 1
                 for column in columns:
-                    pos, name, numeric, values, texts = column
+                    pos, name, numeric, values, levels = column
                     text = row[pos].strip()
                     if not text:
                         raise DataError(f"line {line}: empty cell in column {name!r}")
@@ -263,15 +319,28 @@ def read_columns(source, keep) -> tuple[list[str], list[list], int]:
                             raise DataError(f"line {line}: column {name!r} expected {what}, got {text!r}")
                         values.append(value)
                         continue
-                    if texts is not None:
-                        text = texts.setdefault(text, text)
-                        if len(texts) > _SHARED_TEXTS_MAX:
-                            column[4] = None
+                    if levels is not None:
+                        code = levels.get(text)
+                        if code is None:
+                            code = levels[text] = len(levels)
+                        if code < _SHARED_TEXTS_MAX:
+                            values.append(code)
+                            continue
+                        # one text past the cap: one text per cell from here on
+                        texts = list(levels)
+                        values[:] = [texts[c] for c in values]
+                        column[4] = None
                     values.append(text)
         except csv.Error as exc:
             # read_text names the source; only the reader knows the line
             raise csv.Error(f"line {reader.line_num}: {exc}") from None
-    return header, [column[3] for column in columns], n_rows
+    kept = []
+    for _, name, numeric, values, levels in columns:
+        if levels is None:
+            kept.append(RawColumn(name, NUMERIC if numeric else CATEGORICAL, values))
+        else:
+            kept.append(RawColumn(name, CATEGORICAL, tuple(levels), np.array(values, dtype=np.int32)))
+    return header, kept, n_rows
 
 
 def load_csv(source, class_column: str) -> RawTable:
@@ -293,23 +362,25 @@ def load_csv(source, class_column: str) -> RawTable:
 
     header, columns, _ = read_columns(source, keep)
     predictors = []
-    for name, cells in zip(header, columns):
-        if name == class_column:
+    for column in columns:
+        if column.name == class_column:
             continue
+        # a coded column's levels hold each text once, in the order of its
+        # first cell, so the first non-finite level is the first such cell
+        texts = column.levels
         try:
-            values = list(map(float, cells))
+            values = list(map(float, texts))
         except ValueError:
             values = []
-        if not values or not _plain("".join(cells)):  # a cell that is not a number, or no rows
-            predictors.append(RawColumn(name, CATEGORICAL, cells))
+        if not values or not _plain("".join(texts)):  # a cell that is not a number, or no rows
+            predictors.append(column)
         elif all(map(math.isfinite, values)):
-            predictors.append(RawColumn(name, NUMERIC, values))
+            predictors.append(RawColumn(column.name, NUMERIC, values, column.codes))
         else:
-            cell = next(c for c, v in zip(cells, values) if not math.isfinite(v))
-            raise DataError(f"column {name!r}: non-finite number {cell!r}")
+            cell = next(c for c, v in zip(texts, values) if not math.isfinite(v))
+            raise DataError(f"column {column.name!r}: non-finite number {cell!r}")
     # class values stay raw strings; they are encoded by first appearance later
-    labels = columns[header.index(class_column)]
-    return RawTable(predictors, RawColumn(class_column, CATEGORICAL, labels))
+    return RawTable(predictors, columns[header.index(class_column)])
 
 
 def read_codes(source, encoder: DatasetEncoder) -> np.ndarray:
@@ -442,9 +513,9 @@ class DatasetEncoder:
                 if col.name not in spec.cut_points:
                     raise ConfigError(f"no cut points for numeric column {col.name!r}")
             else:
-                categories[col.name] = tuple(dict.fromkeys(col.values))
+                categories[col.name] = tuple(dict.fromkeys(col.levels))
         if class_values is None:
-            class_values = tuple(dict.fromkeys(raw.class_column.values))
+            class_values = tuple(dict.fromkeys(raw.class_column.levels))
         return cls(
             tuple(c.name for c in raw.predictors),
             tuple(c.kind for c in raw.predictors),
@@ -485,12 +556,13 @@ class DatasetEncoder:
             return codes
         return _text_codes(self.categories[name], values)
 
-    def encode_columns(self, columns: Sequence[Sequence], n_rows: int) -> np.ndarray:
+    def encode_columns(self, columns: Sequence[RawColumn], n_rows: int) -> np.ndarray:
         """Codes of the predictor columns, given in `predictor_names` order:
-        an (n_rows, k) array, column-major as `Dataset` keeps it."""
+        an (n_rows, k) array, column-major as `Dataset` keeps it. A column
+        is encoded level by level, then taken to its rows."""
         codes = np.zeros((n_rows, len(self.predictor_names)), dtype=np.int64, order="F")
-        for j, (name, kind, values) in enumerate(zip(self.predictor_names, self.kinds, columns)):
-            codes[:, j] = self.encode_column(name, kind, values)
+        for j, (name, kind, column) in enumerate(zip(self.predictor_names, self.kinds, columns)):
+            codes[:, j] = column.per_row(self.encode_column(name, kind, column.levels))
         return codes
 
     def check_columns(self, names) -> None:
@@ -501,17 +573,17 @@ class DatasetEncoder:
 
     def encode_predictor_rows(self, raw: RawTable) -> np.ndarray:
         """Encode predictor columns only; may contain out-of-range sentinels."""
-        by_name = {c.name: c.values for c in raw.predictors}
+        by_name = {c.name: c for c in raw.predictors}
         self.check_columns(by_name)
         return self.encode_columns([by_name[name] for name in self.predictor_names], raw.n_rows)
 
     def encode_table(self, raw: RawTable) -> Dataset:
         rows = self.encode_predictor_rows(raw)
-        values = raw.class_column.values
-        labels = _text_codes(self.class_values, values)
+        column = raw.class_column
+        labels = column.per_row(_text_codes(self.class_values, column.levels))
         unseen = np.flatnonzero(labels == len(self.class_values))
         if unseen.size:
-            raise DataError(f"unseen class value {values[unseen[0]]!r}")
+            raise DataError(f"unseen class value {column.values[unseen[0]]!r}")
         return Dataset(self.schema(), rows, labels)
 
     def to_json_dict(self) -> dict:

@@ -263,7 +263,8 @@ def int_array(values) -> np.ndarray:
     return a.astype(np.int64)
 
 
-# mixed-radix keys below this bound cannot overflow int64
+# mixed-radix keys below these bounds cannot overflow int32 and int64
+_NARROW_KEY_LIMIT = 2**31
 _KEY_LIMIT = 2**62
 
 
@@ -286,8 +287,11 @@ def build_count_table(data: Dataset, subset: Sequence[int]) -> CountTable:
     rows by class. Runs of equal keys are the nonzero cells and their
     counts; a change of key // r starts the next configuration. The table
     keeps the configuration keys and decodes them to `config_array` only if
-    that is read. The keys are int64 below `_KEY_LIMIT` and Python ints in
-    an object array above it: the same code, only slower.
+    that is read. The keys are int32 below `_NARROW_KEY_LIMIT`, tallied from
+    the dataset's int32 copy of its codes (`Dataset.narrow`), int64 below
+    `_KEY_LIMIT` and Python ints in an object array above it: the same code,
+    only slower. A table stores its configuration keys in int64 either way,
+    past `_KEY_LIMIT` as Python ints.
     """
     sub = check_subset(subset, data.schema.n_predictors)
     arities = [data.schema.predictor_arities[i] for i in sub]
@@ -296,21 +300,26 @@ def build_count_table(data: Dataset, subset: Sequence[int]) -> CountTable:
     r = data.schema.class_arity
     n = data.n_rows
 
-    key = np.zeros(n, dtype=np.int64 if q * r < _KEY_LIMIT else object)
+    narrow = q * r < _NARROW_KEY_LIMIT
+    codes, classes = data.narrow if narrow else (data.rows, data.labels)
+    key = np.zeros(n, dtype=np.int32 if narrow else np.int64 if q * r < _KEY_LIMIT else object)
     for i, a in zip(sub, arities):
         key *= a
-        key += data.rows[:, i]
+        key += codes[:, i]
     key *= r
-    key += data.labels
+    key += classes
     key.sort()
     # each run of equal keys is one nonzero cell
     bounds = _run_edges(key).nonzero()[0]
     cell_counts = bounds[1:] - bounds[:-1]
     cell_keys = key[bounds[:-1]]
-    # np.divmod has no object loop
-    cell_configs, labels = cell_keys // r, (cell_keys % r).astype(np.int64, copy=False)
+    # each label by subtraction: `%` is slower, and np.divmod has no object loop
+    cell_configs = cell_keys // r
+    labels = (cell_keys - cell_configs * r).astype(np.int64, copy=False)
     first = _run_edges(cell_configs)[:-1]
     config_keys = cell_configs[first]
+    if narrow:
+        config_keys = config_keys.astype(np.int64)
     rows = first.cumsum() - 1
     counts = np.zeros(len(config_keys) * r, dtype=np.int64)
     counts[rows * r + labels] = cell_counts

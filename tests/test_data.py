@@ -314,6 +314,18 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             Dataset(schema, np.array([[2]]), np.array([0]))
 
+    def test_rejects_float_rows(self):
+        schema = Schema(("a",), (3,), "y", 2)
+        with pytest.raises(TypeError, match="^rows must hold integers, not float64 values$"):
+            Dataset(schema, np.array([[1.7], [0.2]]), np.array([0, 1]))
+
+    def test_rejects_float_labels(self):
+        schema = Schema(("a",), (3,), "y", 2)
+        with pytest.raises(TypeError, match="^labels must hold integers, not float64 values$"):
+            Dataset(schema, np.array([[1], [0]]), np.array([0.9, 1.0]))
+        # empty float arrays hold no value to truncate
+        assert Dataset(Schema((), (), "y", 2), np.zeros((3, 0)), np.array([0, 1, 1])).n_rows == 3
+
     def test_rows_are_read_only(self):
         schema = Schema(("x0",), (2,), "y", 2)
         data = Dataset(schema, np.array([[1]]), np.array([0]))

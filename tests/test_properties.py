@@ -45,6 +45,7 @@ from smlbayes import (
     build_nb,
     build_omi,
     build_pm_mixture,
+    fit_discretization,
     fit_equal_frequency,
     log_family_score,
     log_loss,
@@ -108,6 +109,17 @@ def test_count_table_at_the_key_limit_matches_dict_oracle(case):
     # limit, and on the other, where it could pass 2**63, a Python int
     table = _assert_matches_dict_oracle(*case)
     assert table.q < 2**62
+
+
+@settings(max_examples=100, deadline=None)
+@given(data_and_subset(arities=st.just([2] * 33), min_subset=29))
+def test_count_table_at_the_int32_key_limit_matches_dict_oracle(case):
+    # q from 2**29 to 2**33 configurations times 2-4 classes: the
+    # (configuration, class) key is int32 below 2**31 on one side of the
+    # limit and int64 on the other; the table keeps int64 keys on both
+    table = _assert_matches_dict_oracle(*case)
+    event("int32 keys" if table.q * table.class_arity < 2**31 else "int64 keys")
+    assert table._keys.dtype == np.int64
 
 
 @settings(max_examples=200, deadline=None)
@@ -351,6 +363,53 @@ def test_predict_reader_equals_the_old_reader(case, data):
         if old_line == line:
             old_name = re.search(r"column '(\w+)'", want)[1]
             assert order.index(old_name) > order.index(name)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(1000, 1100),
+    st.sampled_from([4, 1500]),
+    st.sampled_from([None, ("g", ""), ("n", ""), ("n", "inf")]),
+    st.integers(0, 2**32 - 1),
+)
+def test_readers_across_the_shared_text_cap_equal_the_old_readers(n_texts, n_numbers, fault, seed):
+    """A text column of 1,000-1,100 distinct texts, held as codes up to
+    1,024 of them and as texts past that, and a numeric column of few or
+    many distinct numbers: both readers equal the old ones, also with a
+    fault in a row after the cap. The one listed difference is an empty
+    cell, which the old predict reader did not name as such."""
+    rng = np.random.default_rng(seed)
+    picks = rng.permutation(np.concatenate([np.arange(n_texts), rng.integers(0, n_texts, 400)]))
+    rows = [[f"t{k}", str(rng.integers(n_numbers)), "pq"[k % 2]] for k in picks.tolist()]
+    raw = load_csv(_csv_bytes(rows), "cls")
+    assert (raw.predictors[0].codes is None) == (n_texts > 1024)
+    encoder = DatasetEncoder.fit(raw, fit_discretization(raw, 3))
+    line = None
+    if fault is not None:
+        first_rows = sorted({k: i for i, k in reversed(list(enumerate(picks.tolist())))}.values())
+        i = int(rng.integers(first_rows[1024] if n_texts > 1024 else 1024, len(rows)))
+        rows[i]["gn".index(fault[0])] = fault[1]
+        line = i + 2
+    source = _csv_bytes(rows)
+
+    got, want = _outcome(load_csv, source, "cls"), _outcome(oracles.load_csv, source, "cls")
+    if isinstance(want, str):
+        assert got == want and fault is not None
+    else:
+        assert got.predictors == want.predictors and got.class_column == want.class_column
+
+    got, want = _outcome(read_codes, source, encoder), _outcome(oracles.read_codes, source, encoder)
+    if fault is not None and fault[1] == "":
+        assert got == f"line {line}: empty cell in column {fault[0]!r}"
+        assert not isinstance(want, str) or _fault_line(want) == line
+    elif isinstance(want, str):
+        assert got == want
+    else:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _csv_bytes(rows) -> bytes:
+    return "".join(f"{','.join(row)}\n" for row in [["g", "n", "cls"], *rows]).encode()
 
 
 @settings(max_examples=100, deadline=None)
