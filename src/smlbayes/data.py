@@ -18,7 +18,7 @@ import math
 import operator
 from bisect import bisect_right
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
@@ -73,12 +73,7 @@ class Schema:
         return len(self.predictor_names)
 
     def to_json_dict(self) -> dict:
-        return {
-            "predictor_names": list(self.predictor_names),
-            "predictor_arities": list(self.predictor_arities),
-            "class_name": self.class_name,
-            "class_arity": self.class_arity,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Schema":
@@ -165,11 +160,10 @@ class RawColumn:
 
     ``values`` is ``levels`` taken through ``codes``, one int32 index into
     the levels per row; a column with ``codes`` None, such as one made from
-    its values or given new ones, is its own levels. `read_columns` holds a
-    column of few distinct texts as codes, its levels in first-appearance
-    order, so a function of the levels taken to the rows by `per_row` runs
-    once per distinct text. Columns with equal names, kinds and values are
-    equal.
+    its values, is its own levels. `read_columns` holds a column of few
+    distinct texts as codes, its levels in first-appearance order, so a
+    function of the levels taken to the rows by `per_row` runs once per
+    distinct text. Columns with equal names, kinds and values are equal.
     """
 
     name: str
@@ -182,10 +176,6 @@ class RawColumn:
         if self.codes is None:
             return self.levels
         return np.array(self.levels, dtype=object)[self.codes].tolist()
-
-    @values.setter
-    def values(self, values: list) -> None:
-        self.levels, self.codes = values, None
 
     def per_row(self, per_level: np.ndarray) -> np.ndarray:
         """One entry per row from one entry per level."""
@@ -426,6 +416,14 @@ def fit_equal_frequency(values: Sequence[float], bins: int) -> list[float]:
     return cuts
 
 
+def json_float(value) -> float:
+    """A model file's number as a float; a string or a boolean is a
+    `TypeError`, never parsed."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, not {type(value).__name__}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class DiscretizationSpec:
     """Ordered cut points per numeric column; ``bins`` is the requested count."""
@@ -449,14 +447,12 @@ class DiscretizationSpec:
         object.__setattr__(self, "cut_points", clean)
 
     def to_json_dict(self) -> dict:
-        return {
-            "bins": self.bins,
-            "cut_points": {k: list(v) for k, v in sorted(self.cut_points.items())},
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DiscretizationSpec":
-        return cls({k: tuple(v) for k, v in d["cut_points"].items()}, operator.index(d["bins"]))
+        cuts = {k: tuple(map(json_float, v)) for k, v in d["cut_points"].items()}
+        return cls(cuts, operator.index(d["bins"]))
 
 
 def fit_discretization(raw: RawTable, bins: int = 3) -> DiscretizationSpec:
@@ -587,22 +583,22 @@ class DatasetEncoder:
         return Dataset(self.schema(), rows, labels)
 
     def to_json_dict(self) -> dict:
-        return {
-            "predictor_names": list(self.predictor_names),
-            "kinds": list(self.kinds),
-            "discretization": self.discretization.to_json_dict(),
-            "categories": {k: list(v) for k, v in sorted(self.categories.items())},
-            "class_name": self.class_name,
-            "class_values": list(self.class_values),
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DatasetEncoder":
+        kinds = tuple(d["kinds"])
+        if not set(kinds) <= {NUMERIC, CATEGORICAL}:
+            raise ValueError(f"column kinds must be {NUMERIC!r} or {CATEGORICAL!r}")
+        categories = {k: tuple(v) for k, v in d["categories"].items()}
+        # a level that is not a str equals no cell's text
+        if not all(isinstance(level, str) for levels in categories.values() for level in levels):
+            raise TypeError("category levels must be strings")
         return cls(
             tuple(d["predictor_names"]),
-            tuple(d["kinds"]),
+            kinds,
             DiscretizationSpec.from_json_dict(d["discretization"]),
-            {k: tuple(v) for k, v in d["categories"].items()},
+            categories,
             d["class_name"],
             tuple(d["class_values"]),
         )

@@ -9,7 +9,7 @@ configuration so a run can be reproduced byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -69,13 +69,7 @@ class ClassifierSpec:
         return f"om{self.subset_size}" if self.kind == OMI else self.kind
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "prior": self.prior.to_json_dict(),
-            "subset_size": self.subset_size,
-            "search": None if self.search is None else self.search.to_json_dict(),
-        }
+        return {**asdict(self), "name": self.name}
 
 
 def spec_from_token(
@@ -153,6 +147,7 @@ class TrialResult:
     metrics: dict[str, dict[str, float]]
     partitions: dict[str, list[list[int]]] = field(default_factory=dict)
 
+    # by hand: `asdict` would deep-copy every trial's metrics and partitions
     def to_json_dict(self) -> dict:
         return {
             "trial_index": self.trial_index,
@@ -172,6 +167,7 @@ class EvalReport:
     means: dict[str, dict[str, float]]
     gains_vs_nb: dict | None
 
+    # by hand, as `TrialResult`: `asdict` would deep-copy the whole report
     def to_json_dict(self) -> dict:
         return {
             "format_version": self.format_version,
@@ -219,7 +215,7 @@ def run_trials(
 
     class_values = None
     if raw is not None:
-        class_values = tuple(dict.fromkeys(raw.class_column.values))
+        class_values = tuple(dict.fromkeys(raw.class_column.levels))
 
     trial_results: list[TrialResult] = []
     for t in range(trials):

@@ -94,8 +94,11 @@ def _checked(tables, schema: Schema):
 
 def model_from_json_dict(d: dict):
     """Rebuild (model, encoder) from a model file dictionary."""
-    if d.get("format_version") != FORMAT_VERSION:
-        raise DataError(f"unsupported model format version {d.get('format_version')!r}")
+    version = d.get("format_version")
+    if type(version) is not int:  # true equals 1, but is no version
+        raise TypeError(f"format_version must be an integer, not {type(version).__name__}")
+    if version != FORMAT_VERSION:
+        raise DataError(f"unsupported model format version {version!r}")
     encoder = DatasetEncoder.from_json_dict(d["encoder"])
     schema = encoder.schema()
     prior = PriorSpec.from_json_dict(d["prior"])

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, json_float
 from .errors import ConfigError
 
 UNIFORM_CELL = "uniform_cell"
@@ -128,11 +128,11 @@ class PriorSpec:
         return f"{PRIOR_TAGS[self.kind]}:{self.strength:g}"
 
     def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "strength": self.strength}
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PriorSpec":
-        return cls(d["kind"], float(d["strength"]))
+        return cls(d["kind"], json_float(d["strength"]))
 
 
 def check_subset(subset: Sequence[int], n_predictors: int) -> tuple[int, ...]:
@@ -251,7 +251,7 @@ class CountTable:
             operator.index(d["n_rows"]),
             operator.index(d["class_arity"]),
             operator.index(d["q"]),
-            float(d["log_q"]),
+            json_float(d["log_q"]),
         )
 
 

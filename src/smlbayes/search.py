@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -74,13 +74,7 @@ class SearchConfig:
             raise ConfigError(f"unknown init_mode {self.init_mode!r}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "restarts": self.restarts,
-            "patience": self.patience,
-            "max_block_size": self.max_block_size,
-            "seed": self.seed,
-            "init_mode": self.init_mode,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -579,6 +579,12 @@ class TestTrainPredict:
             ("anb", "q"),
             ("nb", "schema"),
             ("anb", "schema"),
+            ("nb", "int category levels"),
+            ("nb", "unknown kind"),
+            ("nb", "string cut points"),
+            ("nb", "boolean strength"),
+            ("nb", "boolean format version"),
+            ("om1", "string log q"),
         ],
     )
     def test_table_disagreeing_with_the_encoder_exits_2(self, tmp_path, capsys, classifier, fault):
@@ -616,6 +622,19 @@ class TestTrainPredict:
             payload["encoder"]["discretization"]["bins"] += 0.9
         elif fault == "float partition":
             payload["partition"][0][0] += 0.5
+        elif fault == "int category levels":
+            payload["encoder"]["categories"]["b"] = [1, 2]
+        elif fault == "unknown kind":
+            payload["encoder"]["kinds"][1] = "weird"
+        elif fault == "string cut points":
+            cuts = payload["encoder"]["discretization"]["cut_points"]
+            cuts["a"] = [str(c) for c in cuts["a"]]
+        elif fault == "boolean strength":
+            payload["prior"]["strength"] = True
+        elif fault == "boolean format version":
+            payload["format_version"] = True
+        elif fault == "string log q":
+            table["log_q"] = str(table["log_q"])
         else:
             payload["schema"]["predictor_arities"][1] += 1
         model_path.write_text(json.dumps(payload), encoding="utf-8")

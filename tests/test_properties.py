@@ -275,7 +275,8 @@ def _old_outcome(fn, source, *args):
         return out.replace(*reversed(_SPELT))
     if isinstance(out, RawTable):
         for column in [*out.predictors, out.class_column]:
-            column.values = [v.replace(*reversed(_SPELT)) if isinstance(v, str) else v for v in column.values]
+            # the old reader holds no codes, so a column is its own levels
+            column.levels = [v.replace(*reversed(_SPELT)) if isinstance(v, str) else v for v in column.levels]
     return out
 
 
