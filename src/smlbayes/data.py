@@ -75,15 +75,6 @@ class Schema:
     def to_json_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Schema":
-        return cls(
-            tuple(d["predictor_names"]),
-            tuple(map(operator.index, d["predictor_arities"])),
-            d["class_name"],
-            operator.index(d["class_arity"]),
-        )
-
 
 def take_rows(rows: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """rows[indices], gathered straight into the column-major order `Dataset` keeps."""
@@ -416,14 +407,6 @@ def fit_equal_frequency(values: Sequence[float], bins: int) -> list[float]:
     return cuts
 
 
-def json_float(value) -> float:
-    """A model file's number as a float; a string or a boolean is a
-    `TypeError`, never parsed."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, not {type(value).__name__}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class DiscretizationSpec:
     """Ordered cut points per numeric column; ``bins`` is the requested count."""
@@ -451,8 +434,7 @@ class DiscretizationSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DiscretizationSpec":
-        cuts = {k: tuple(map(json_float, v)) for k, v in d["cut_points"].items()}
-        return cls(cuts, operator.index(d["bins"]))
+        return cls(d["cut_points"], operator.index(d["bins"]))
 
 
 def fit_discretization(raw: RawTable, bins: int = 3) -> DiscretizationSpec:

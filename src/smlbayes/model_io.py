@@ -93,19 +93,18 @@ def _checked(tables, schema: Schema):
 
 
 def model_from_json_dict(d: dict):
-    """Rebuild (model, encoder) from a model file dictionary."""
+    """Rebuild (model, encoder) from a dictionary in the form `model_to_json_dict` writes."""
     version = d.get("format_version")
-    if type(version) is not int:  # true equals 1, but is no version
-        raise TypeError(f"format_version must be an integer, not {type(version).__name__}")
     if version != FORMAT_VERSION:
         raise DataError(f"unsupported model format version {version!r}")
     encoder = DatasetEncoder.from_json_dict(d["encoder"])
+    # a round trip keeps a level listed twice, whose later cells would read as unseen
+    if any(len(set(v)) < len(v) for v in [*encoder.categories.values(), encoder.class_values]):
+        raise ValueError("a level listed twice")
     schema = encoder.schema()
     prior = PriorSpec.from_json_dict(d["prior"])
     kind = d["kind"]
     if kind in ("nb", "anb"):
-        if Schema.from_json_dict(d["schema"]) != schema:
-            raise ValueError("model schema disagrees with its encoder")
         class_counts = int_array(d["class_counts"])
         if kind == "nb":
             cls, partition = NBClassifier, singleton_partition(schema.n_predictors)
@@ -121,6 +120,8 @@ def model_from_json_dict(d: dict):
         model = DiagnosticClassifier(*_checked([CountTable.from_json_dict(d["table"])], schema), prior)
     else:
         raise DataError(f"unknown model kind {kind!r}")
+    if json.dumps(model_to_json_dict(model, encoder), sort_keys=True) != json.dumps(d, sort_keys=True):
+        raise ValueError("writing the model it loads as gives different JSON")
     return model, encoder
 
 

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, json_float
+from .data import Dataset
 from .errors import ConfigError
 
 UNIFORM_CELL = "uniform_cell"
@@ -84,6 +84,7 @@ class PriorSpec:
         # nan, inf and subnormal strengths would turn scores and losses into nan
         if not (math.isfinite(self.strength) and self.strength >= _TINY):
             raise ValueError("prior strength must be a finite, normal number > 0")
+        object.__setattr__(self, "strength", float(self.strength))
 
     @classmethod
     def uniform_cell(cls, alpha: float = 1.0) -> "PriorSpec":
@@ -132,7 +133,7 @@ class PriorSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PriorSpec":
-        return cls(d["kind"], json_float(d["strength"]))
+        return cls(d["kind"], d["strength"])
 
 
 def check_subset(subset: Sequence[int], n_predictors: int) -> tuple[int, ...]:
@@ -218,7 +219,7 @@ class CountTable:
         self.n_rows = n_rows
         self.class_arity = class_arity
         self.q = q
-        self.log_q = log_q
+        self.log_q = float(log_q)
 
     @cached_property
     def config_array(self) -> np.ndarray:
@@ -251,7 +252,7 @@ class CountTable:
             operator.index(d["n_rows"]),
             operator.index(d["class_arity"]),
             operator.index(d["q"]),
-            json_float(d["log_q"]),
+            d["log_q"],
         )
 
 

@@ -585,6 +585,10 @@ class TestTrainPredict:
             ("nb", "boolean strength"),
             ("nb", "boolean format version"),
             ("om1", "string log q"),
+            ("nb", "repeated category level"),
+            ("nb", "repeated class value"),
+            ("nb", "integer strength"),
+            ("nb", "extra key"),
         ],
     )
     def test_table_disagreeing_with_the_encoder_exits_2(self, tmp_path, capsys, classifier, fault):
@@ -635,6 +639,15 @@ class TestTrainPredict:
             payload["format_version"] = True
         elif fault == "string log q":
             table["log_q"] = str(table["log_q"])
+        elif fault == "repeated category level":
+            payload["encoder"]["categories"]["b"] = ["x", "x"]
+        elif fault == "repeated class value":
+            payload["encoder"]["class_values"] = ["p", "p"]
+        elif fault == "integer strength":
+            # `train` writes 1.0: a file loads only in the form `train` writes
+            payload["prior"]["strength"] = 1
+        elif fault == "extra key":
+            payload["note"] = "edited"
         else:
             payload["schema"]["predictor_arities"][1] += 1
         model_path.write_text(json.dumps(payload), encoding="utf-8")

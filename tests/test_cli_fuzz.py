@@ -8,7 +8,8 @@ flag with a bad value or left out, a broken CSV, an unknown command or
 flag) and gives every other flag a good value or leaves an optional one
 out, so each fault is reached alone as well as with another. Model files
 with one integer or one float edited are predicted from as well: they end in
-exit 0 or 2.
+exit 0 or 2, and a file that loads is the form `train` writes of the model it
+loads as.
 """
 
 import contextlib
@@ -24,6 +25,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from smlbayes.cli import main
+from smlbayes.model_io import load_model, model_to_json_dict
 
 # no cell, name or class value spells nan or inf, so any such word in an
 # output file is a number the program wrote
@@ -247,6 +249,9 @@ def test_model_file_with_one_edited_integer_exits_0_or_2(models, scratch, data):
             assert not out.exists()
         else:
             assert _NON_FINITE.search(out.read_text(encoding="utf-8")) is None
+            # a file that loads is the form `train` writes of the model it loads as
+            loaded = model_to_json_dict(*load_model(workdir / "model.json"))
+            assert json.dumps(payload, sort_keys=True) == json.dumps(loaded, sort_keys=True)
 
 
 _FLOAT_FIELDS = ("strength", "cut_points", "log_q")
@@ -299,3 +304,6 @@ def test_model_file_with_one_edited_float_exits_0_or_2(models, scratch, data):
             assert not out.exists()
         else:
             assert _NON_FINITE.search(out.read_text(encoding="utf-8")) is None
+            # a file that loads is the form `train` writes of the model it loads as
+            loaded = model_to_json_dict(*load_model(workdir / "model.json"))
+            assert json.dumps(payload, sort_keys=True) == json.dumps(loaded, sort_keys=True)
